@@ -7,14 +7,13 @@ entropy coefficient by recent normalized returns.
 """
 
 from .adaptive import ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
-from .cartpole import CartPoleState, PhysicsConstants, StepResult, max_return, reset, step
+from .cartpole import CartPoleState, StepResult, reset, step
 from .loss import (
     LossBreakdown,
     LossCoefficients,
     TrainingDiverged,
     action_log_prob,
     categorical_entropy,
-    clipped_surrogate_objective,
     loss_breakdown,
     loss_output_gradients,
     ppo_update,

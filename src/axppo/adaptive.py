@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .cartpole import MAX_RETURN
+
 __all__ = ["ReturnWindow", "push_batch_return", "g_recent", "effective_entropy_coef"]
 
 MODES = ("standard", "adaptive")
@@ -21,23 +23,18 @@ MODES = ("standard", "adaptive")
 class ReturnWindow:
     capacity: int
     entries: tuple[float, ...] = ()
-    g_max: float = 500.0
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if self.g_max <= 0.0:
-            raise ValueError(f"g_max must be > 0, got {self.g_max}")
         if len(self.entries) > self.capacity:
             raise ValueError("window holds more entries than its capacity")
 
 
 def push_batch_return(window: ReturnWindow, mean_return: float) -> ReturnWindow:
     """Append one per-update mean return, evicting the oldest entry when full."""
-    if not 0.0 <= mean_return <= window.g_max:
-        raise ValueError(
-            f"mean_return must lie in [0, {window.g_max}], got {mean_return}"
-        )
+    if not 0.0 <= mean_return <= MAX_RETURN:
+        raise ValueError(f"mean_return must lie in [0, {MAX_RETURN}], got {mean_return}")
     entries = window.entries + (float(mean_return),)
     if len(entries) > window.capacity:
         entries = entries[-window.capacity :]
@@ -48,7 +45,7 @@ def g_recent(window: ReturnWindow) -> float:
     """Windowed mean return normalized to [0, 1]; 0.0 while the window is empty."""
     if not window.entries:
         return 0.0
-    return sum(window.entries) / len(window.entries) / window.g_max
+    return sum(window.entries) / len(window.entries) / MAX_RETURN
 
 
 def effective_entropy_coef(mode: str, window: ReturnWindow, c2_base: float) -> float:

@@ -14,31 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PhysicsConstants",
-    "DEFAULT_CONSTANTS",
     "CartPoleState",
     "StepResult",
     "reset",
     "step",
-    "max_return",
+    "MAX_RETURN",
 ]
 
+GRAVITY = 9.8
+CART_MASS = 1.0
+POLE_MASS = 0.1
+HALF_POLE_LENGTH = 0.5
+FORCE_MAGNITUDE = 10.0
+DT = 0.02
+X_THRESHOLD = 2.4
+THETA_THRESHOLD = 12.0 * math.pi / 180.0
+MAX_EPISODE_STEPS = 500
+REWARD_PER_STEP = 1.0
 
-@dataclass(frozen=True)
-class PhysicsConstants:
-    gravity: float = 9.8
-    cart_mass: float = 1.0
-    pole_mass: float = 0.1
-    half_pole_length: float = 0.5
-    force_magnitude: float = 10.0
-    dt: float = 0.02
-    x_threshold: float = 2.4
-    theta_threshold: float = 12.0 * math.pi / 180.0
-    max_episode_steps: int = 500
-    reward_per_step: float = 1.0
-
-
-DEFAULT_CONSTANTS = PhysicsConstants()
+# largest return a single episode can collect
+MAX_RETURN = MAX_EPISODE_STEPS * REWARD_PER_STEP
 
 
 @dataclass(frozen=True)
@@ -61,48 +56,40 @@ class StepResult:
     truncated: bool
 
 
-def reset(rng: np.random.Generator, constants: PhysicsConstants = DEFAULT_CONSTANTS) -> CartPoleState:
+def reset(rng: np.random.Generator) -> CartPoleState:
     """Fresh episode start: all four components uniform in [-0.05, 0.05]."""
     x, x_dot, theta, theta_dot = rng.uniform(-0.05, 0.05, size=4)
     return CartPoleState(x=x, x_dot=x_dot, theta=theta, theta_dot=theta_dot, elapsed_steps=0)
 
 
-def step(
-    state: CartPoleState, action: int, constants: PhysicsConstants = DEFAULT_CONSTANTS
-) -> StepResult:
+def step(state: CartPoleState, action: int) -> StepResult:
     """Advance one time step. action 0 pushes left, 1 pushes right."""
     if action not in (0, 1):
         raise ValueError(f"action must be 0 or 1, got {action!r}")
-    c = constants
-    force = c.force_magnitude if action == 1 else -c.force_magnitude
+    force = FORCE_MAGNITUDE if action == 1 else -FORCE_MAGNITUDE
     cos_theta = math.cos(state.theta)
     sin_theta = math.sin(state.theta)
-    total_mass = c.cart_mass + c.pole_mass
-    pole_mass_length = c.pole_mass * c.half_pole_length
+    total_mass = CART_MASS + POLE_MASS
+    pole_mass_length = POLE_MASS * HALF_POLE_LENGTH
 
     temp = (force + pole_mass_length * state.theta_dot**2 * sin_theta) / total_mass
-    theta_acc = (c.gravity * sin_theta - cos_theta * temp) / (
-        c.half_pole_length * (4.0 / 3.0 - c.pole_mass * cos_theta**2 / total_mass)
+    theta_acc = (GRAVITY * sin_theta - cos_theta * temp) / (
+        HALF_POLE_LENGTH * (4.0 / 3.0 - POLE_MASS * cos_theta**2 / total_mass)
     )
     x_acc = temp - pole_mass_length * theta_acc * cos_theta / total_mass
 
     next_state = CartPoleState(
-        x=state.x + c.dt * state.x_dot,
-        x_dot=state.x_dot + c.dt * x_acc,
-        theta=state.theta + c.dt * state.theta_dot,
-        theta_dot=state.theta_dot + c.dt * theta_acc,
+        x=state.x + DT * state.x_dot,
+        x_dot=state.x_dot + DT * x_acc,
+        theta=state.theta + DT * state.theta_dot,
+        theta_dot=state.theta_dot + DT * theta_acc,
         elapsed_steps=state.elapsed_steps + 1,
     )
-    terminated = abs(next_state.x) > c.x_threshold or abs(next_state.theta) > c.theta_threshold
-    truncated = not terminated and next_state.elapsed_steps >= c.max_episode_steps
+    terminated = abs(next_state.x) > X_THRESHOLD or abs(next_state.theta) > THETA_THRESHOLD
+    truncated = not terminated and next_state.elapsed_steps >= MAX_EPISODE_STEPS
     return StepResult(
         next_state=next_state,
-        reward=c.reward_per_step,
+        reward=REWARD_PER_STEP,
         terminated=terminated,
         truncated=truncated,
     )
-
-
-def max_return(constants: PhysicsConstants = DEFAULT_CONSTANTS) -> float:
-    """Largest return a single episode can collect."""
-    return constants.max_episode_steps * constants.reward_per_step

@@ -23,11 +23,9 @@ __all__ = [
     "TrainingDiverged",
     "LossCoefficients",
     "LossBreakdown",
-    "softmax",
     "log_softmax",
     "categorical_entropy",
     "action_log_prob",
-    "clipped_surrogate_objective",
     "loss_breakdown",
     "loss_output_gradients",
     "ppo_update",
@@ -50,12 +48,11 @@ class LossCoefficients:
     """Weights applied this update; c2_effective is what actually multiplies the entropy."""
 
     c1: float
-    c2_base: float
     clip_epsilon: float
     c2_effective: float
 
     def __post_init__(self):
-        if self.c1 < 0.0 or self.c2_base < 0.0 or self.c2_effective < 0.0:
+        if self.c1 < 0.0 or self.c2_effective < 0.0:
             raise ValueError("loss coefficients must be >= 0")
         if self.clip_epsilon <= 0.0:
             raise ValueError(f"clip_epsilon must be > 0, got {self.clip_epsilon}")
@@ -76,10 +73,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    return np.exp(log_softmax(logits, axis=axis))
-
-
 def categorical_entropy(logits: np.ndarray) -> float | np.ndarray:
     """Entropy -sum p ln p of softmax(logits), over the last axis."""
     log_p = log_softmax(logits)
@@ -94,12 +87,6 @@ def action_log_prob(logits: np.ndarray, action: int) -> float:
     if not 0 <= action < logits.shape[-1]:
         raise ValueError(f"action {action} out of range for {logits.shape[-1]} actions")
     return float(log_softmax(logits)[action])
-
-
-def clipped_surrogate_objective(ratio: float, advantage: float, clip_epsilon: float) -> float:
-    """Per-sample surrogate: min(ratio * A, clip(ratio, 1-eps, 1+eps) * A)."""
-    clipped = min(max(ratio, 1.0 - clip_epsilon), 1.0 + clip_epsilon)
-    return min(ratio * advantage, clipped * advantage)
 
 
 def _per_sample_terms(

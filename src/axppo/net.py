@@ -40,7 +40,6 @@ class NetworkConfig:
     obs_dim: int
     hidden_sizes: tuple[int, ...] = (64, 64)
     action_count: int = 2
-    activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -50,8 +49,6 @@ class NetworkConfig:
             raise ValueError(f"action_count must be >= 2, got {self.action_count}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) of every affine layer: trunk layers, policy head, value head."""
@@ -231,7 +228,7 @@ def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray)
             "obs_dim": config.obs_dim,
             "hidden_sizes": list(config.hidden_sizes),
             "action_count": config.action_count,
-            "activation": config.activation,
+            "activation": "tanh",
         }
     )
     lines = [header]
@@ -244,11 +241,12 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkConfig, np.ndarray]:
     if not lines:
         raise ValueError(f"empty checkpoint file: {path}")
     meta = json.loads(lines[0])
+    if meta.get("activation", "tanh") != "tanh":
+        raise ValueError(f"unsupported activation {meta['activation']!r} in {path}")
     config = NetworkConfig(
         obs_dim=meta["obs_dim"],
         hidden_sizes=tuple(meta["hidden_sizes"]),
         action_count=meta["action_count"],
-        activation=meta.get("activation", "tanh"),
     )
     params = np.array([float.fromhex(line) for line in lines[1:] if line], dtype=np.float64)
     if params.shape != (config.param_count,):

@@ -14,11 +14,11 @@ actually reached, since the time limit is not a property of the task.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .cartpole import DEFAULT_CONSTANTS, CartPoleState, PhysicsConstants, reset, step
+from .cartpole import CartPoleState, reset, step
 from .loss import TrainingDiverged, log_softmax
 from .net import NetworkConfig, forward_single, unpack_params
 
@@ -87,15 +87,11 @@ def collect_rollout(
     *,
     action_rng: np.random.Generator,
     env_rng: np.random.Generator,
-    constants: PhysicsConstants = DEFAULT_CONSTANTS,
-    step_fn: Callable = step,
-    reset_fn: Callable = reset,
 ) -> tuple[RolloutBuffer, EpisodeStats, EnvCursor]:
     """Run the current policy for exactly `horizon` steps, resetting inline.
 
     Action sampling draws from `action_rng`; episode resets draw from
-    `env_rng`, so the two randomness streams stay independent. step_fn and
-    reset_fn exist so tests can drive the collector with a stub environment.
+    `env_rng`, so the two randomness streams stay independent.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -124,7 +120,7 @@ def collect_rollout(
         log_p = log_softmax(logits)
         action = sample_categorical(action_rng, np.exp(log_p))
 
-        result = step_fn(state, action, constants)
+        result = step(state, action)
         obs[t] = o
         actions[t] = action
         log_probs[t] = log_p[action]
@@ -139,7 +135,7 @@ def collect_rollout(
             running_return = 0.0
             if result.truncated:
                 next_values[t] = state_value(result.next_state)
-            state = reset_fn(env_rng, constants)
+            state = reset(env_rng)
         else:
             state = result.next_state
 

@@ -52,6 +52,14 @@ class SweepSpec:
             raise ValueError("entropy coefficients must be >= 0")
         if any(t < 1 for t in self.tau_grid):
             raise ValueError("tau values must be >= 1")
+        if len(set(self.tau_grid)) != len(self.tau_grid):
+            raise ValueError(f"tau grid holds duplicate values: {self.tau_grid}")
+        # log file names and table columns print coefficients with _fmt_num
+        if len({_fmt_num(c) for c in self.coefficient_grid}) != len(self.coefficient_grid):
+            raise ValueError(
+                f"coefficient grid {self.coefficient_grid} holds values that print alike: "
+                f"{[_fmt_num(c) for c in self.coefficient_grid]}"
+            )
         if self.seeds_per_cell < 1:
             raise ValueError(f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}")
         if self.parallelism < 1:
@@ -187,7 +195,7 @@ def render_results(results: list[RunResult], format: str) -> str:
         for r in results:
             tau = "" if r.tau is None else str(r.tau)
             lines.append(
-                f"{r.mode},{_fmt_num(r.c2_base)},{tau},{r.seed},"
+                f"{r.mode},{float(r.c2_base)!r},{tau},{r.seed},"
                 f"{r.final_mean_return:.17g},{r.wall_time_s:.17g},"
                 f"{'true' if r.diverged else 'false'}"
             )

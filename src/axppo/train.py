@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import MODES, ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
-from .cartpole import DEFAULT_CONSTANTS, max_return, reset, step
+from .cartpole import reset, step
 from .loss import LossBreakdown, LossCoefficients, TrainingDiverged, log_softmax, ppo_update
 from .net import NetworkConfig, forward_single, init_params, unpack_params
 from .optim import init_adam_state
@@ -144,11 +144,10 @@ def train(config: TrainConfig) -> TrainResult:
     action_rng = np.random.default_rng(config.seed + SEED_OFFSET_ACTIONS)
     shuffle_rng = np.random.default_rng(config.seed + SEED_OFFSET_SHUFFLE)
 
-    constants = DEFAULT_CONSTANTS
     params = init_params(net, init_rng)
     adam_state = init_adam_state(net.param_count)
-    window = ReturnWindow(capacity=config.tau, g_max=max_return(constants))
-    cursor = EnvCursor(reset(env_rng, constants), 0.0)
+    window = ReturnWindow(capacity=config.tau)
+    cursor = EnvCursor(reset(env_rng), 0.0)
     prev_mean = 0.0
 
     records: list[UpdateRecord] = []
@@ -156,7 +155,7 @@ def train(config: TrainConfig) -> TrainResult:
         try:
             buffer, stats, cursor = collect_rollout(
                 params, net, cursor, config.horizon,
-                action_rng=action_rng, env_rng=env_rng, constants=constants,
+                action_rng=action_rng, env_rng=env_rng,
             )
             mean_ret = batch_mean_return(stats, prev_mean)
             prev_mean = mean_ret
@@ -165,8 +164,7 @@ def train(config: TrainConfig) -> TrainResult:
             c2_eff = effective_entropy_coef(config.mode, window, config.c2_base)
             advantages, value_targets = compute_gae(buffer, config.gamma, config.gae_lambda)
             coeffs = LossCoefficients(
-                c1=config.c1, c2_base=config.c2_base,
-                clip_epsilon=config.clip_epsilon, c2_effective=c2_eff,
+                c1=config.c1, clip_epsilon=config.clip_epsilon, c2_effective=c2_eff
             )
             params, adam_state, breakdown = ppo_update(
                 params, net, adam_state, buffer, advantages, value_targets, coeffs,
@@ -194,16 +192,15 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
     """Run eval_episodes full episodes sampling stochastically from the policy."""
     net = config.net_config()
     unpacked = unpack_params(params, net)
-    constants = DEFAULT_CONSTANTS
 
     returns = []
     for _ in range(config.eval_episodes):
-        state = reset(rng, constants)
+        state = reset(rng)
         total = 0.0
         while True:
             logits, _ = forward_single(unpacked, state.as_obs())
             action = sample_categorical(rng, np.exp(log_softmax(logits)))
-            result = step(state, action, constants)
+            result = step(state, action)
             total += result.reward
             if result.terminated or result.truncated:
                 break

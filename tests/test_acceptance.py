@@ -2,7 +2,8 @@
 
 Criteria 4-6 train full-length runs (~15 runs x ~8 s) and criterion 8 executes
 the entire default sweep (87 runs), so this module dominates the suite's
-runtime. Run with -s to see the per-criterion lines as they complete.
+runtime; those four carry the `slow` marker, and `-m "not slow"` runs the
+rest. Run with -s to see the per-criterion lines as they complete.
 """
 
 import math
@@ -80,6 +81,7 @@ def test_criterion_3_zero_coefficient_equivalence():
            f"bitwise identical after 10 updates ({time.perf_counter() - start:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_4_baseline_learning():
     evals = cell_evals("standard", 0.0)
     passing = sum(e >= 400.0 for e in evals)
@@ -87,6 +89,7 @@ def test_criterion_4_baseline_learning():
            f"eval means {[round(e, 1) for e in evals]}, {passing}/3 seeds >= 400")
 
 
+@pytest.mark.slow
 def test_criterion_5_degradation_trend():
     mean_01 = np.mean(cell_evals("standard", 0.1))
     mean_08 = np.mean(cell_evals("standard", 0.8))
@@ -94,6 +97,7 @@ def test_criterion_5_degradation_trend():
            f"c2=0.8 mean {mean_08:.1f} vs 60% of c2=0.1 mean {0.6 * mean_01:.1f}")
 
 
+@pytest.mark.slow
 def test_criterion_6_robustness_trend():
     mean_a01 = np.mean(cell_evals("adaptive", 0.1))
     mean_a08 = np.mean(cell_evals("adaptive", 0.8))
@@ -170,6 +174,7 @@ def test_criterion_7_property_suite():
     report(7, "property suite", True, "all module invariants hold")
 
 
+@pytest.mark.slow
 def test_criterion_8_full_default_sweep(tmp_path):
     start = time.perf_counter()
     spec = SweepSpec(parallelism=4, output_dir=tmp_path)

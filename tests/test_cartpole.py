@@ -3,32 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from axppo.cartpole import (
-    DEFAULT_CONSTANTS,
-    CartPoleState,
-    PhysicsConstants,
-    max_return,
-    reset,
-    step,
-)
+from axppo.cartpole import MAX_RETURN, CartPoleState, reset, step
 
 
-def hand_step(state, action, c=DEFAULT_CONSTANTS):
-    """Independent application of the published dynamics equations."""
-    force = c.force_magnitude if action == 1 else -c.force_magnitude
-    total_mass = c.cart_mass + c.pole_mass
-    pml = c.pole_mass * c.half_pole_length
+def hand_step(state, action):
+    """Independent application of the published dynamics equations and constants."""
+    gravity, cart_mass, pole_mass, half_length, dt = 9.8, 1.0, 0.1, 0.5, 0.02
+    force = 10.0 if action == 1 else -10.0
+    total_mass = cart_mass + pole_mass
+    pml = pole_mass * half_length
     sin_t, cos_t = math.sin(state.theta), math.cos(state.theta)
     temp = (force + pml * state.theta_dot**2 * sin_t) / total_mass
-    theta_acc = (c.gravity * sin_t - cos_t * temp) / (
-        c.half_pole_length * (4.0 / 3.0 - c.pole_mass * cos_t**2 / total_mass)
+    theta_acc = (gravity * sin_t - cos_t * temp) / (
+        half_length * (4.0 / 3.0 - pole_mass * cos_t**2 / total_mass)
     )
     x_acc = temp - pml * theta_acc * cos_t / total_mass
     return (
-        state.x + c.dt * state.x_dot,
-        state.x_dot + c.dt * x_acc,
-        state.theta + c.dt * state.theta_dot,
-        state.theta_dot + c.dt * theta_acc,
+        state.x + dt * state.x_dot,
+        state.x_dot + dt * x_acc,
+        state.theta + dt * state.theta_dot,
+        state.theta_dot + dt * theta_acc,
     )
 
 
@@ -63,7 +57,7 @@ def test_position_boundary_terminates():
 
 def test_angle_boundary_terminates():
     result = step(CartPoleState(0.0, 0.0, 0.205, 0.5), 1)
-    assert abs(result.next_state.theta) > DEFAULT_CONSTANTS.theta_threshold
+    assert abs(result.next_state.theta) > 12.0 * math.pi / 180.0
     assert result.terminated
 
 
@@ -131,6 +125,4 @@ def test_alternating_actions_keep_cart_in_bounds(first_action):
 
 
 def test_max_return():
-    assert max_return() == 500.0
-    assert max_return(PhysicsConstants(max_episode_steps=200)) == 200.0
-    assert max_return(PhysicsConstants(max_episode_steps=1, reward_per_step=1.0)) == 1.0
+    assert MAX_RETURN == 500.0

@@ -11,12 +11,10 @@ from axppo.loss import (
     TrainingDiverged,
     action_log_prob,
     categorical_entropy,
-    clipped_surrogate_objective,
     log_softmax,
     loss_breakdown,
     loss_output_gradients,
     ppo_update,
-    softmax,
 )
 from axppo.net import NetworkConfig, NetworkOutput, backprop, forward, init_params
 from axppo.optim import finite_diff_gradient, init_adam_state
@@ -28,10 +26,8 @@ finite_logits = st.lists(
 )
 
 
-def coeffs(c1=0.5, c2=0.0, eps=0.2, c2_eff=None):
-    return LossCoefficients(
-        c1=c1, c2_base=c2, clip_epsilon=eps, c2_effective=c2 if c2_eff is None else c2_eff
-    )
+def coeffs(c1=0.5, c2=0.0, eps=0.2):
+    return LossCoefficients(c1=c1, clip_epsilon=eps, c2_effective=c2)
 
 
 def test_entropy_uniform_two_actions():
@@ -70,7 +66,7 @@ def test_shift_invariance(logits, shift):
                 min_size=2, max_size=8))
 @settings(max_examples=300)
 def test_softmax_sums_to_one(logits):
-    p = softmax(np.array(logits))
+    p = np.exp(log_softmax(np.array(logits)))
     assert np.sum(p) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -87,20 +83,29 @@ def test_action_log_prob_rejects_out_of_range():
         action_log_prob(np.array([0.0, 0.0]), 2)
 
 
+def surrogate_of_one_sample(ratio, adv, eps):
+    """loss_breakdown's clip_term on a one-sample batch whose probability ratio is `ratio`."""
+    # uniform logits give new log-prob ln 0.5, so this old log-prob sets the ratio
+    outputs = NetworkOutput(logits=np.array([[0.0, 0.0]]), values=np.array([0.0]))
+    old_log_prob = math.log(0.5) - math.log(ratio)
+    return loss_breakdown(outputs, np.array([0]), np.array([old_log_prob]), np.array([adv]),
+                          np.array([0.0]), coeffs(eps=eps)).clip_term
+
+
 @pytest.mark.parametrize("ratio,adv,eps,expected", [
     (1.0, 2.0, 0.2, 2.0),
     (1.5, 1.0, 0.2, 1.2),
     (0.5, -1.0, 0.2, -0.8),
 ])
 def test_clipped_surrogate_hand_values(ratio, adv, eps, expected):
-    assert clipped_surrogate_objective(ratio, adv, eps) == pytest.approx(expected, abs=1e-12)
+    assert surrogate_of_one_sample(ratio, adv, eps) == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.floats(min_value=0.801, max_value=1.199),
        st.floats(min_value=-50, max_value=50, allow_nan=False))
 @settings(max_examples=200)
 def test_clip_identity_inside_band(ratio, adv):
-    assert clipped_surrogate_objective(ratio, adv, 0.2) == pytest.approx(ratio * adv, abs=1e-12)
+    assert surrogate_of_one_sample(ratio, adv, 0.2) == pytest.approx(ratio * adv, abs=1e-12)
 
 
 def test_loss_breakdown_single_sample_assembly():
@@ -132,8 +137,8 @@ def test_total_independent_of_entropy_when_coefficient_zero():
     bd0 = loss_breakdown(outputs, coeffs=coeffs(c2=0.0), **args)
     assert bd0.total == pytest.approx(-bd0.clip_term + 0.5 * bd0.value_term, abs=1e-12)
     # doubling c2_eff shifts total by exactly -c2_eff * entropy_term
-    bd1 = loss_breakdown(outputs, coeffs=coeffs(c2=0.4, c2_eff=0.4), **args)
-    bd2 = loss_breakdown(outputs, coeffs=coeffs(c2=0.8, c2_eff=0.8), **args)
+    bd1 = loss_breakdown(outputs, coeffs=coeffs(c2=0.4), **args)
+    bd2 = loss_breakdown(outputs, coeffs=coeffs(c2=0.8), **args)
     assert bd2.total - bd1.total == pytest.approx(-0.4 * bd1.entropy_term, abs=1e-12)
 
 
@@ -184,9 +189,7 @@ def _random_loss_instance(rng):
         advantages=rng.standard_normal(n),
         value_targets=rng.standard_normal(n),
     )
-    cf = LossCoefficients(
-        c1=0.5, c2_base=0.3, clip_epsilon=0.2, c2_effective=float(rng.uniform(0.05, 0.3))
-    )
+    cf = LossCoefficients(c1=0.5, clip_epsilon=0.2, c2_effective=float(rng.uniform(0.05, 0.3)))
     return cfg, params, data, cf
 
 
@@ -244,7 +247,7 @@ def test_ppo_update_zero_epochs_leaves_params_unchanged():
     adv, targets = rng.standard_normal(64), rng.standard_normal(64)
     new_params, state, summary = ppo_update(
         params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
-        coeffs(c2=0.1, c2_eff=0.1), epochs=0, minibatch_size=32, lr=1e-3,
+        coeffs(c2=0.1), epochs=0, minibatch_size=32, lr=1e-3,
         rng=np.random.default_rng(0),
     )
     assert np.array_equal(new_params, params)
@@ -259,7 +262,7 @@ def test_ppo_update_decreases_loss_on_fixed_buffer():
         cfg, params, buffer = _synthetic_buffer(rng)
         raw_adv = rng.standard_normal(64)
         targets = rng.standard_normal(64)
-        cf = coeffs(c1=0.5, c2=0.05, c2_eff=0.05)
+        cf = coeffs(c1=0.5, c2=0.05)
         # same normalization ppo_update applies internally
         from axppo.loss import ADV_TARGET_STD
         adv_n = ADV_TARGET_STD * (raw_adv - raw_adv.mean()) / (raw_adv.std() + 1e-8)
@@ -293,6 +296,6 @@ def test_ppo_update_diverges_on_nan_buffer():
 
 def test_coefficient_validation():
     with pytest.raises(ValueError):
-        LossCoefficients(c1=-0.1, c2_base=0.0, clip_epsilon=0.2, c2_effective=0.0)
+        LossCoefficients(c1=-0.1, clip_epsilon=0.2, c2_effective=0.0)
     with pytest.raises(ValueError):
-        LossCoefficients(c1=0.5, c2_base=0.0, clip_epsilon=0.0, c2_effective=0.0)
+        LossCoefficients(c1=0.5, clip_epsilon=0.0, c2_effective=0.0)

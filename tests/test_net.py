@@ -29,7 +29,6 @@ def test_param_count_formula():
     dict(obs_dim=0, hidden_sizes=(4,), action_count=2),
     dict(obs_dim=4, hidden_sizes=(4,), action_count=1),
     dict(obs_dim=4, hidden_sizes=(0,), action_count=2),
-    dict(obs_dim=4, hidden_sizes=(4,), action_count=2, activation="relu"),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -158,3 +157,11 @@ def test_checkpoint_rejects_wrong_length(tmp_path):
     cfg = NetworkConfig(obs_dim=2, hidden_sizes=(3,), action_count=2)
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.txt", cfg, np.zeros(cfg.param_count + 1))
+
+
+def test_checkpoint_rejects_unknown_activation(tmp_path):
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(path, TOY_CONFIG, TOY_PARAMS)
+    path.write_text(path.read_text().replace('"tanh"', '"relu"', 1))
+    with pytest.raises(ValueError, match="activation"):
+        load_checkpoint(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import axppo.rollout
 from axppo.cartpole import CartPoleState, StepResult, reset
 from axppo.net import NetworkConfig, init_params
 from axppo.rollout import (
@@ -19,24 +20,29 @@ def fresh_cursor(seed=0):
     return EnvCursor(reset(np.random.default_rng(seed)), 0.0)
 
 
-def collect(params, horizon, seed=0, **kw):
+def collect(params, horizon, seed=0):
     return collect_rollout(
         params, NET, fresh_cursor(seed), horizon,
         action_rng=np.random.default_rng(seed + 100),
         env_rng=np.random.default_rng(seed + 200),
-        **kw,
     )
 
 
-def stub_step(state, action, constants):
+def stub_step(state, action):
     """Terminates every 5th step with reward 1; physics ignored."""
     next_state = CartPoleState(0.0, 0.0, 0.0, 0.0, elapsed_steps=state.elapsed_steps + 1)
     terminated = next_state.elapsed_steps % 5 == 0
     return StepResult(next_state=next_state, reward=1.0, terminated=terminated, truncated=False)
 
 
-def stub_reset(rng, constants):
+def stub_reset(rng):
     return CartPoleState(0.0, 0.0, 0.0, 0.0)
+
+
+def use_stub_env(monkeypatch, step_fn=stub_step):
+    """Make collect_rollout drive a stub environment for the rest of the test."""
+    monkeypatch.setattr(axppo.rollout, "step", step_fn)
+    monkeypatch.setattr(axppo.rollout, "reset", stub_reset)
 
 
 def test_buffer_length_is_exactly_horizon():
@@ -65,24 +71,25 @@ def test_collect_is_deterministic():
     assert c1 == c2
 
 
-def test_stub_environment_returns():
+def test_stub_environment_returns(monkeypatch):
+    use_stub_env(monkeypatch)
     params = init_params(NET, np.random.default_rng(1))
-    buffer, stats, _ = collect(params, 15, step_fn=stub_step, reset_fn=stub_reset)
+    buffer, stats, _ = collect(params, 15)
     assert stats.completed_returns == (5.0, 5.0, 5.0)
     assert buffer.terminated.sum() == 3
     # termination masks the stored next value
     assert np.all(buffer.next_values[buffer.terminated] == 0.0)
 
 
-def test_cursor_carries_running_return_across_rollouts():
+def test_cursor_carries_running_return_across_rollouts(monkeypatch):
+    use_stub_env(monkeypatch)
     params = init_params(NET, np.random.default_rng(1))
-    cursor = EnvCursor(stub_reset(None, None), 0.0)
+    cursor = EnvCursor(stub_reset(None), 0.0)
     all_returns = []
     for _ in range(4):
         _, stats, cursor = collect_rollout(
             params, NET, cursor, 7,
             action_rng=np.random.default_rng(0), env_rng=np.random.default_rng(1),
-            step_fn=stub_step, reset_fn=stub_reset,
         )
         all_returns.extend(stats.completed_returns)
     # 28 steps of 5-step episodes: 5 completed, partial episode in the cursor
@@ -104,14 +111,15 @@ def test_episode_returns_bounded_by_env_steps():
     assert total <= n_rollouts * horizon
 
 
-def test_truncation_bootstraps_with_post_truncation_value():
-    def trunc_step(state, action, constants):
+def test_truncation_bootstraps_with_post_truncation_value(monkeypatch):
+    def trunc_step(state, action):
         next_state = CartPoleState(0.5, 0.0, 0.0, 0.0, elapsed_steps=state.elapsed_steps + 1)
         return StepResult(next_state, 1.0, terminated=False,
                           truncated=next_state.elapsed_steps % 4 == 0)
 
+    use_stub_env(monkeypatch, trunc_step)
     params = init_params(NET, np.random.default_rng(1))
-    buffer, stats, _ = collect(params, 6, step_fn=trunc_step, reset_fn=stub_reset)
+    buffer, stats, _ = collect(params, 6)
     assert list(buffer.truncated) == [False, False, False, True, False, False]
     from axppo.net import forward_single, unpack_params
     post_trunc_value = forward_single(unpack_params(params, NET),

@@ -160,3 +160,19 @@ def test_spec_validation():
         SweepSpec(seeds_per_cell=0)
     with pytest.raises(ValueError):
         SweepSpec(parallelism=0)
+
+
+@pytest.mark.parametrize("grids", [
+    dict(tau_grid=(1, 10, 1)),
+    dict(coefficient_grid=(0.1, 0.1)),
+    dict(coefficient_grid=(0.1, 0.1000001)),  # both print as 0.1 in log file names
+])
+def test_spec_rejects_colliding_grid_values(grids):
+    with pytest.raises(ValueError):
+        SweepSpec(**grids)
+
+
+def test_render_csv_keeps_full_coefficient_precision():
+    results = [RunResult("standard", 0.123456789, None, 1, 400.0, 1.0, "x")]
+    row = next(csv.DictReader(render_results(results, "csv").splitlines()))
+    assert float(row["c2"]) == 0.123456789
