@@ -69,8 +69,9 @@ class LossBreakdown:
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log softmax along the given axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    # array methods reduce exactly like np.max/np.sum without their Python-level dispatch
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def categorical_entropy(logits: np.ndarray) -> float | np.ndarray:

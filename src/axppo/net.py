@@ -82,10 +82,6 @@ class ForwardTrace:
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
 
-    @property
-    def batch_size(self) -> int:
-        return self.inputs.shape[0]
-
 
 def init_params(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
     """Uniform fan-in/fan-out initialization, zero biases.
@@ -179,7 +175,7 @@ def backprop(
     """
     d_logits = np.asarray(d_logits, dtype=np.float64)
     d_values = np.asarray(d_values, dtype=np.float64)
-    n = trace.batch_size
+    n = trace.inputs.shape[0]
     if d_logits.shape != (n, config.action_count) or d_values.shape != (n,):
         raise ValueError(
             f"partials have shapes {d_logits.shape}/{d_values.shape}, expected "
@@ -237,6 +233,11 @@ def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray)
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkConfig, np.ndarray]:
+    """Read a save_checkpoint file.
+
+    Raises ValueError, naming the file, on a wrong value count, an activation
+    other than tanh, or a NaN or infinite value.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty checkpoint file: {path}")
@@ -251,6 +252,8 @@ def load_checkpoint(path: str | Path) -> tuple[NetworkConfig, np.ndarray]:
     params = np.array([float.fromhex(line) for line in lines[1:] if line], dtype=np.float64)
     if params.shape != (config.param_count,):
         raise ValueError(
-            f"checkpoint holds {params.shape[0]} values, expected {config.param_count}"
+            f"checkpoint {path} holds {params.shape[0]} values, expected {config.param_count}"
         )
+    if not np.all(np.isfinite(params)):
+        raise ValueError(f"checkpoint {path} holds non-finite parameters")
     return config, params

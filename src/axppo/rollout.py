@@ -9,6 +9,13 @@ Bootstrapping distinguishes the two episode endings: termination (pole fell,
 cart out of bounds) masks the successor value to zero, while truncation (the
 500-step limit) bootstraps with the value of the state the environment
 actually reached, since the time limit is not a property of the task.
+
+Every policy-driven step, here and in train.evaluate, goes through one
+private helper, _policy_step: observation, forward_single, log-softmax,
+sample_categorical, cartpole.step, each looked up in this module's globals at
+call time so that tests can substitute them. collect_rollout keeps each step
+as a tuple, stacks the columns into arrays once, and checks the stacked
+network outputs for non-finite values once per rollout.
 """
 
 from __future__ import annotations
@@ -73,10 +80,26 @@ class EpisodeStats:
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw an index from a probability vector using one uniform variate."""
-    u = rng.random()
-    # clamp guards the one-ulp case where the cumulative sum lands below u
-    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
+    """Draw action 0 or 1 from a two-entry probability vector using one uniform variate.
+
+    Equal, NaN included, to the inverse-CDF rule
+    min(searchsorted(cumsum(probs), u, "right"), 1).
+    """
+    return int(probs[0] <= rng.random())
+
+
+def _policy_step(unpacked, state: CartPoleState, rng: np.random.Generator):
+    """One environment step under the policy, shared by collect_rollout and evaluate.
+
+    Returns (step result, observation, action, log-probability of the action,
+    logits, value). Nothing here checks the outputs for finiteness;
+    collect_rollout does so once per rollout.
+    """
+    obs = state.as_obs()
+    logits, value = forward_single(unpacked, obs)
+    log_p = log_softmax(logits)
+    action = sample_categorical(rng, np.exp(log_p))
+    return step(state, action), obs, action, log_p[action], logits, value
 
 
 def collect_rollout(
@@ -95,68 +118,59 @@ def collect_rollout(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if config.action_count != 2:
+        raise ValueError(f"CartPole has two actions, got action_count={config.action_count}")
     unpacked = unpack_params(params, config)
-
-    obs = np.empty((horizon, config.obs_dim))
-    actions = np.empty(horizon, dtype=np.intp)
-    log_probs = np.empty(horizon)
-    values = np.empty(horizon)
-    rewards = np.empty(horizon)
-    terminated = np.zeros(horizon, dtype=bool)
-    truncated = np.zeros(horizon, dtype=bool)
-    next_values = np.zeros(horizon)
-
-    def state_value(s: CartPoleState) -> float:
-        _, v = forward_single(unpacked, s.as_obs())
-        return v
 
     state, running_return = cursor
     completed: list[float] = []
+    rows = []  # (obs, action, log-prob, value, logits, reward, terminated, truncated)
+    truncation_values = {}  # row -> value of the state the time limit cut off
     for t in range(horizon):
-        o = state.as_obs()
-        logits, value = forward_single(unpacked, o)
-        if not (np.all(np.isfinite(logits)) and np.isfinite(value)):
-            raise TrainingDiverged(f"non-finite network output at rollout step {t}")
-        log_p = log_softmax(logits)
-        action = sample_categorical(action_rng, np.exp(log_p))
+        result, o, action, log_prob, logits, value = _policy_step(unpacked, state, action_rng)
+        next_state, reward, term, trunc = result
+        rows.append((o, action, log_prob, value, logits, reward, term, trunc))
+        running_return += reward
 
-        result = step(state, action)
-        obs[t] = o
-        actions[t] = action
-        log_probs[t] = log_p[action]
-        values[t] = value
-        rewards[t] = result.reward
-        terminated[t] = result.terminated
-        truncated[t] = result.truncated
-        running_return += result.reward
-
-        if result.terminated or result.truncated:
+        if term or trunc:
             completed.append(running_return)
             running_return = 0.0
-            if result.truncated:
-                next_values[t] = state_value(result.next_state)
+            if trunc:
+                truncation_values[t] = forward_single(unpacked, next_state.as_obs())[1]
             state = reset(env_rng)
         else:
-            state = result.next_state
+            state = next_state
 
-    # successor values inside an episode are just the next row's value
+    obs, actions, log_probs, values, logits, rewards, terminated, truncated = zip(*rows)
+    values = np.array(values)
+    finite = np.isfinite(np.array(logits)).all(axis=1) & np.isfinite(values)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        raise TrainingDiverged(f"non-finite network output at rollout step {t}")
+    terminated = np.array(terminated)
+    truncated = np.array(truncated)
+
+    # successor values: the next row's value inside an episode, 0.0 on termination
+    next_values = np.zeros(horizon)
     inside = ~(terminated[:-1] | truncated[:-1])
     next_values[:-1][inside] = values[1:][inside]
+    for t, v in truncation_values.items():
+        next_values[t] = v
 
     if terminated[-1]:
         bootstrap_value = 0.0
     elif truncated[-1]:
         bootstrap_value = next_values[-1]
     else:
-        bootstrap_value = state_value(state)
+        bootstrap_value = forward_single(unpacked, state.as_obs())[1]
         next_values[-1] = bootstrap_value
 
     buffer = RolloutBuffer(
-        obs=obs,
-        actions=actions,
-        log_probs=log_probs,
+        obs=np.array(obs),
+        actions=np.array(actions, dtype=np.intp),
+        log_probs=np.array(log_probs),
         values=values,
-        rewards=rewards,
+        rewards=np.array(rewards),
         terminated=terminated,
         truncated=truncated,
         next_values=next_values,

@@ -21,16 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from .adaptive import MODES, ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
-from .cartpole import reset, step
-from .loss import LossBreakdown, LossCoefficients, TrainingDiverged, log_softmax, ppo_update
-from .net import NetworkConfig, forward_single, init_params, unpack_params
+from .cartpole import reset
+from .loss import LossBreakdown, LossCoefficients, TrainingDiverged, ppo_update
+from .net import NetworkConfig, init_params, unpack_params
 from .optim import init_adam_state
 from .rollout import (
     EnvCursor,
+    _policy_step,
     batch_mean_return,
     collect_rollout,
     compute_gae,
-    sample_categorical,
 )
 
 __all__ = [
@@ -198,13 +198,10 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
         state = reset(rng)
         total = 0.0
         while True:
-            logits, _ = forward_single(unpacked, state.as_obs())
-            action = sample_categorical(rng, np.exp(log_softmax(logits)))
-            result = step(state, action)
-            total += result.reward
-            if result.terminated or result.truncated:
+            state, reward, terminated, truncated = _policy_step(unpacked, state, rng)[0]
+            total += reward
+            if terminated or truncated:
                 break
-            state = result.next_state
         returns.append(total)
     arr = np.asarray(returns)
     return EvalReport(

@@ -5,19 +5,28 @@ compares, per update, the SHA-256 of the record's float reprs, then the
 SHA-256 of the final parameters. A failure names the first update whose
 record differs, so a refactor that changes any bit of training shows where.
 
+The adaptive run's policy then drives the per-step path on its own:
+`evaluate` over 20 episodes at a fixed seed (the per-episode returns), and
+three consecutive `collect_rollout` calls (the SHA-256 of every buffer array
+with its dtype and shape, the completed returns and the cursor). The first
+rollout starts ten steps short of the time limit, so it covers truncation.
+
 To re-record, run this file as a script and paste its output over
-EXPECTED:
+EXPECTED, EXPECTED_EVAL_RETURNS and EXPECTED_ROLLOUTS:
 
     PYTHONPATH=src python tests/test_digest.py
 
 Re-recording is a change in behaviour: name it in CHANGES.md.
 """
 
+import functools
 import hashlib
 
 import numpy as np
 
-from axppo.train import TrainConfig, UpdateRecord, train
+from axppo.cartpole import CartPoleState
+from axppo.rollout import EnvCursor, RolloutBuffer, collect_rollout
+from axppo.train import SEED_OFFSET_EVAL, TrainConfig, UpdateRecord, evaluate, train
 
 RUNS = {
     "adaptive-0.8": TrainConfig(mode="adaptive", c2_base=0.8, total_env_steps=2560, seed=1),
@@ -57,6 +66,22 @@ EXPECTED = {
     },
 }
 
+EXPECTED_EVAL_RETURNS = (
+    89.0, 41.0, 66.0, 34.0, 67.0, 97.0, 106.0, 56.0, 81.0, 34.0,
+    20.0, 87.0, 114.0, 146.0, 67.0, 110.0, 82.0, 132.0, 53.0, 121.0,
+)
+
+EXPECTED_ROLLOUTS = [
+    "b344633130331138364c884e3baf48d3ea5c0a5ec0edd589fe55342d290acd03",
+    "7d225596500f3b7b874fb8debb2e3a7fe110591647ce13eea725cc5ca8d3d286",
+    "d5cf57f5201e5937f6011174be60e9144bbce6169995efac829d5092f2d10637",
+]
+
+# the policy whose per-step path is digested, and where its rollouts start
+POLICY_RUN = "adaptive-0.8"
+ROLLOUT_START = EnvCursor(CartPoleState(0.01, 0.0, 0.01, 0.0, elapsed_steps=490), 490.0)
+ROLLOUT_HORIZON = 256
+
 
 def record_digest(r: UpdateRecord) -> str:
     floats = (
@@ -71,28 +96,84 @@ def params_digest(params: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8").tobytes()).hexdigest()
 
 
-def digests(config: TrainConfig) -> dict:
-    result = train(config)
+def rollout_digest(buffer: RolloutBuffer, completed: tuple, cursor: EnvCursor) -> str:
+    h = hashlib.sha256()
+    for name in ("obs", "actions", "log_probs", "values", "rewards",
+                 "terminated", "truncated", "next_values"):
+        arr = getattr(buffer, name)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(np.ascontiguousarray(arr).tobytes())
+    s = cursor.state
+    floats = (buffer.bootstrap_value, *completed, s.x, s.x_dot, s.theta, s.theta_dot,
+              cursor.running_return)
+    h.update(f"{buffer.horizon},{s.elapsed_steps},".encode())
+    h.update(",".join(repr(float(v)) for v in floats).encode())
+    return h.hexdigest()
+
+
+@functools.cache
+def trained(name: str):
+    result = train(RUNS[name])
     assert not result.diverged, result.error
+    return result
+
+
+def digests(name: str) -> dict:
+    result = trained(name)
     return {
         "records": [record_digest(r) for r in result.records],
         "params": params_digest(result.params),
     }
 
 
+def eval_returns() -> tuple[float, ...]:
+    config = RUNS[POLICY_RUN]
+    rng = np.random.default_rng(config.seed + SEED_OFFSET_EVAL)
+    return evaluate(trained(POLICY_RUN).params, config, rng).per_episode_returns
+
+
+def rollout_digests() -> list[str]:
+    config = RUNS[POLICY_RUN]
+    action_rng = np.random.default_rng(config.seed + 1)
+    env_rng = np.random.default_rng(config.seed + 2)
+    cursor = ROLLOUT_START
+    out = []
+    for _ in range(3):
+        buffer, stats, cursor = collect_rollout(
+            trained(POLICY_RUN).params, config.net_config(), cursor, ROLLOUT_HORIZON,
+            action_rng=action_rng, env_rng=env_rng,
+        )
+        out.append(rollout_digest(buffer, stats.completed_returns, cursor))
+    return out
+
+
 def test_training_matches_recorded_digests():
-    for name, config in RUNS.items():
-        got, want = digests(config), EXPECTED[name]
+    for name in RUNS:
+        got, want = digests(name), EXPECTED[name]
         assert len(got["records"]) == len(want["records"]) == 10
         for i, (g, w) in enumerate(zip(got["records"], want["records"])):
             assert g == w, f"{name}: update {i} is the first record that differs"
         assert got["params"] == want["params"], f"{name}: final parameters differ"
 
 
+def test_evaluate_matches_recorded_returns():
+    got = eval_returns()
+    assert len(got) == RUNS[POLICY_RUN].eval_episodes == 20
+    for i, (g, w) in enumerate(zip(got, EXPECTED_EVAL_RETURNS)):
+        assert g == w, f"eval episode {i} is the first return that differs"
+
+
+def test_rollouts_match_recorded_digests():
+    got = rollout_digests()
+    assert len(got) == len(EXPECTED_ROLLOUTS) == 3
+    for i, (g, w) in enumerate(zip(got, EXPECTED_ROLLOUTS)):
+        assert g == w, f"rollout {i} is the first that differs"
+
+
 if __name__ == "__main__":
     print("EXPECTED = {")
-    for name, config in RUNS.items():
-        d = digests(config)
+    for name in RUNS:
+        d = digests(name)
         print(f'    "{name}": {{')
         print('        "records": [')
         for h in d["records"]:
@@ -101,3 +182,10 @@ if __name__ == "__main__":
         print(f'        "params": "{d["params"]}",')
         print("    },")
     print("}")
+    print()
+    print(f"EXPECTED_EVAL_RETURNS = {eval_returns()!r}")
+    print()
+    print("EXPECTED_ROLLOUTS = [")
+    for h in rollout_digests():
+        print(f'    "{h}",')
+    print("]")

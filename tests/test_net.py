@@ -72,7 +72,7 @@ def test_forward_toy_network_hand_values():
     assert out.values[0] == pytest.approx(2 * h, abs=1e-12)
     assert out.logits[0, 0] == pytest.approx(0.462117, abs=1e-6)
     assert out.values[0] == pytest.approx(0.924234, abs=1e-6)
-    assert trace.batch_size == 1
+    assert trace.inputs.shape == (1, 1)
     assert trace.activations[0][0, 0] == pytest.approx(h, abs=1e-15)
 
 
@@ -164,4 +164,14 @@ def test_checkpoint_rejects_unknown_activation(tmp_path):
     save_checkpoint(path, TOY_CONFIG, TOY_PARAMS)
     path.write_text(path.read_text().replace('"tanh"', '"relu"', 1))
     with pytest.raises(ValueError, match="activation"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    params = TOY_PARAMS.copy()
+    params[2] = bad
+    path = tmp_path / "diverged.ckpt"
+    save_checkpoint(path, TOY_CONFIG, params)
+    with pytest.raises(ValueError, match="diverged.ckpt"):
         load_checkpoint(path)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import axppo.rollout
 from axppo.cartpole import CartPoleState, StepResult, reset
+from axppo.loss import TrainingDiverged
 from axppo.net import NetworkConfig, init_params
 from axppo.rollout import (
     EnvCursor,
@@ -11,6 +14,7 @@ from axppo.rollout import (
     collect_rollout,
     compute_gae,
     RolloutBuffer,
+    sample_categorical,
 )
 
 NET = NetworkConfig(obs_dim=4, hidden_sizes=(8,), action_count=2)
@@ -57,6 +61,14 @@ def test_buffer_length_is_exactly_horizon():
     assert all(1.0 <= r <= 500.0 for r in stats.completed_returns)
     assert np.all(buffer.log_probs <= 0.0)
     assert np.all(buffer.rewards == 1.0)
+
+
+def test_collect_rejects_more_than_two_actions():
+    net = NetworkConfig(obs_dim=4, hidden_sizes=(8,), action_count=3)
+    params = init_params(net, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="two actions"):
+        collect_rollout(params, net, fresh_cursor(), 8,
+                        action_rng=np.random.default_rng(0), env_rng=np.random.default_rng(1))
 
 
 def test_collect_is_deterministic():
@@ -210,3 +222,70 @@ def test_collect_rejects_bad_horizon():
     params = init_params(NET, np.random.default_rng(1))
     with pytest.raises(ValueError):
         collect(params, 0)
+
+
+def nan_output_from_step(monkeypatch, k, bad):
+    """Make forward_single return a NaN `bad` output ("logits" or "value") from call k on."""
+    real = axppo.rollout.forward_single
+    calls = []
+
+    def forward_single(unpacked, obs):
+        logits, value = real(unpacked, obs)
+        calls.append(None)
+        if len(calls) > k:
+            if bad == "logits":
+                logits = np.array([np.nan, 0.0])
+            else:
+                value = float("nan")
+        return logits, value
+
+    monkeypatch.setattr(axppo.rollout, "forward_single", forward_single)
+
+
+@pytest.mark.parametrize("bad", ["logits", "value"])
+def test_non_finite_network_output_names_first_bad_step(monkeypatch, bad):
+    # 16 steps from a fresh episode never truncate, so call k is step k
+    nan_output_from_step(monkeypatch, 5, bad)
+    params = init_params(NET, np.random.default_rng(1))
+    with pytest.raises(TrainingDiverged, match=r"^non-finite network output at rollout step 5$"):
+        collect(params, 16)
+
+
+class FixedUniform:
+    """Stands in for a Generator whose random() always returns u; counts the draws."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def searchsorted_rule(probs, u):
+    return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
+
+
+ONE_ULP_BELOW_HALF = np.nextafter(0.5, 0.0)
+U_MAX = np.nextafter(1.0, 0.0)
+
+
+@given(
+    p0=st.floats(0.0, 1.0) | st.just(np.nan),
+    p1=st.floats(0.0, 1.0) | st.just(np.nan),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+)
+@example(p0=0.3, p1=0.7, u=0.3)  # u == p[0]
+@example(p0=0.0, p1=1.0, u=0.0)
+@example(p0=1.0, p1=0.0, u=U_MAX)
+@example(p0=0.5, p1=ONE_ULP_BELOW_HALF, u=U_MAX)  # sum one ulp below 1, u above it
+@example(p0=0.5, p1=ONE_ULP_BELOW_HALF, u=0.5)
+@example(p0=np.nan, p1=np.nan, u=0.5)
+@example(p0=0.2, p1=np.nan, u=0.5)
+@example(p0=np.nan, p1=0.2, u=0.0)
+def test_two_action_sampler_matches_clamped_searchsorted(p0, p1, u):
+    probs = np.array([p0, p1])
+    rng = FixedUniform(u)
+    assert sample_categorical(rng, probs) == searchsorted_rule(probs, u)
+    assert rng.draws == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import axppo.loss
+import axppo.rollout
 from axppo.net import unpack_params
 from axppo.train import (
     LOG_HEADER,
@@ -100,6 +101,35 @@ def test_divergence_aborts_with_marker(monkeypatch):
     assert result.diverged
     assert "synthetic blow-up" in result.error
     assert len(result.records) == 1  # records collected before the abort survive
+
+
+def test_non_finite_rollout_output_stops_training(monkeypatch):
+    # NaN logits from step 40 of the second rollout on
+    real_collect, real_forward = axppo.rollout.collect_rollout, axppo.rollout.forward_single
+    rollouts, steps = [], []
+
+    def collect_rollout(*args, **kwargs):
+        rollouts.append(None)
+        steps.clear()
+        return real_collect(*args, **kwargs)
+
+    def forward_single(unpacked, obs):
+        logits, value = real_forward(unpacked, obs)
+        steps.append(None)
+        if len(rollouts) == 2 and len(steps) > 40:
+            logits = np.full_like(logits, np.nan)
+        return logits, value
+
+    train_mod = importlib.import_module("axppo.train")
+    monkeypatch.setattr(train_mod, "collect_rollout", collect_rollout)
+    monkeypatch.setattr(axppo.rollout, "forward_single", forward_single)
+    result = train(TrainConfig(total_env_steps=768))
+    assert result.diverged
+    assert result.error == "non-finite network output at rollout step 40"
+    monkeypatch.undo()
+    one_update = train(TrainConfig(total_env_steps=256))
+    assert result.records == one_update.records
+    assert np.array_equal(result.params, one_update.params)
 
 
 def test_evaluate_reports_per_episode_returns():
