@@ -148,7 +148,11 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_eval(ns: argparse.Namespace) -> int:
-    net_config, params = load_checkpoint(ns.checkpoint)
+    try:
+        net_config, params = load_checkpoint(ns.checkpoint)
+    except (OSError, ValueError) as exc:
+        print(f"cannot load checkpoint: {exc}")
+        return 1
     config = TrainConfig(eval_episodes=ns.episodes)
     if net_config != config.net_config():
         print(f"checkpoint architecture {net_config} is not the CartPole actor-critic")

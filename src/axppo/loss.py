@@ -90,15 +90,32 @@ def action_log_prob(logits: np.ndarray, action: int) -> float:
     return float(log_softmax(logits)[action])
 
 
-def _per_sample_terms(
+def loss_output_gradients(
     outputs: NetworkOutput,
     actions: np.ndarray,
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
     value_targets: np.ndarray,
     coeffs: LossCoefficients,
-):
-    """Shared intermediates for the loss value and its output partials."""
+) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """One loss pass: the minibatch-mean loss terms and their output partials.
+
+    Returns (breakdown, d_logits, d_values), where the partials are the exact
+    derivatives of breakdown.total w.r.t. each sample's logits and value,
+    scaled by 1/batch so a summing backprop reproduces the minibatch mean.
+
+    Policy part: d(-surrogate)/d(new_log_prob) is -ratio * A where the
+    unclipped branch attains the min, and zero where the clipped branch is
+    active and binding (the clipped ratio is a constant there); the chain rule
+    through log softmax then gives d_logp * (one_hot(action) - p). Inside the
+    clip band the branches coincide, and the tie goes to the unclipped branch,
+    so the gradient flows there.
+
+    Entropy part, always present: dH/dz_j = -p_j (ln p_j + H), so the
+    -c2_effective * H term contributes c2_effective * p_j (ln p_j + H).
+
+    Value part: c1 * (V - target).
+    """
     logits = np.asarray(outputs.logits, dtype=np.float64)
     values = np.asarray(outputs.values, dtype=np.float64)
     actions = np.asarray(actions)
@@ -122,22 +139,32 @@ def _per_sample_terms(
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"non-finite entries in {name}")
 
+    rows = np.arange(n)
     log_p = log_softmax(logits)
     p = np.exp(log_p)
-    new_log_probs = log_p[np.arange(n), actions]
-    ratio = np.exp(new_log_probs - old_log_probs)
-
-    low, high = 1.0 - coeffs.clip_epsilon, 1.0 + coeffs.clip_epsilon
+    ratio = np.exp(log_p[rows, actions] - old_log_probs)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, low, high) * advantages
-    surrogate = np.minimum(unclipped, clipped)
-    # policy gradient flows only where the unclipped branch attains the min;
-    # inside the clip band the branches coincide, so <= keeps the gradient there
-    unclipped_active = unclipped <= clipped
-
+    clipped = np.clip(ratio, 1.0 - coeffs.clip_epsilon, 1.0 + coeffs.clip_epsilon) * advantages
     value_err = values - value_targets
     entropy = -np.sum(p * log_p, axis=-1)
-    return p, log_p, ratio, advantages, surrogate, unclipped_active, value_err, entropy
+
+    clip_term = float(np.minimum(unclipped, clipped).mean())
+    value_term = float(0.5 * np.mean(value_err**2))
+    entropy_term = float(entropy.mean())
+    total = -clip_term + coeffs.c1 * value_term - coeffs.c2_effective * entropy_term
+
+    d_logp = np.where(unclipped <= clipped, -ratio * advantages, 0.0)
+    one_hot = np.zeros_like(p)
+    one_hot[rows, actions] = 1.0
+    d_logits = d_logp[:, None] * (one_hot - p)
+    d_logits += coeffs.c2_effective * p * (log_p + entropy[:, None])
+    d_logits /= n
+    d_values = coeffs.c1 * value_err / n
+
+    breakdown = LossBreakdown(
+        clip_term=clip_term, value_term=value_term, entropy_term=entropy_term, total=total
+    )
+    return breakdown, d_logits, d_values
 
 
 def loss_breakdown(
@@ -148,51 +175,10 @@ def loss_breakdown(
     value_targets: np.ndarray,
     coeffs: LossCoefficients,
 ) -> LossBreakdown:
-    """Minibatch-mean loss terms and the assembled scalar being minimized."""
-    _, _, _, _, surrogate, _, value_err, entropy = _per_sample_terms(
+    """Minibatch-mean loss terms and the assembled scalar being minimized (no partials)."""
+    return loss_output_gradients(
         outputs, actions, old_log_probs, advantages, value_targets, coeffs
-    )
-    clip_term = float(surrogate.mean())
-    value_term = float(0.5 * np.mean(value_err**2))
-    entropy_term = float(entropy.mean())
-    total = -clip_term + coeffs.c1 * value_term - coeffs.c2_effective * entropy_term
-    return LossBreakdown(
-        clip_term=clip_term, value_term=value_term, entropy_term=entropy_term, total=total
-    )
-
-
-def loss_output_gradients(
-    outputs: NetworkOutput,
-    actions: np.ndarray,
-    old_log_probs: np.ndarray,
-    advantages: np.ndarray,
-    value_targets: np.ndarray,
-    coeffs: LossCoefficients,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact partials of the total loss w.r.t. each sample's logits and value.
-
-    Scaled by 1/batch so a summing backprop reproduces the minibatch mean.
-    Where the clipped branch of the surrogate is active and binding, the policy
-    part of the logits gradient is zero; the entropy part always contributes via
-    dH/dz_j = -p_j (ln p_j + H).
-    """
-    p, log_p, ratio, adv, _, unclipped_active, value_err, entropy = _per_sample_terms(
-        outputs, actions, old_log_probs, advantages, value_targets, coeffs
-    )
-    n = p.shape[0]
-    actions = np.asarray(actions)
-
-    # d(-surrogate)/d(new_log_prob): -ratio * A where the unclipped branch is taken
-    d_logp = np.where(unclipped_active, -ratio * adv, 0.0)
-    one_hot = np.zeros_like(p)
-    one_hot[np.arange(n), actions] = 1.0
-    d_logits = d_logp[:, None] * (one_hot - p)
-    # d(-c2 * H)/dz_j = c2 * p_j (ln p_j + H)
-    d_logits += coeffs.c2_effective * p * (log_p + entropy[:, None])
-    d_logits /= n
-
-    d_values = coeffs.c1 * value_err / n
-    return d_logits, d_values
+    )[0]
 
 
 def ppo_update(
@@ -214,9 +200,10 @@ def ppo_update(
     Advantages are normalized once (mean 0, std ADV_TARGET_STD) before the
     epoch loop, so every epoch sees the same values. Returns the updated
     parameters, optimizer state, and the mean loss breakdown over the last
-    epoch's minibatches (or a single evaluation of the full buffer when
-    epochs == 0).
+    epoch's minibatches.
     """
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     horizon = buffer.horizon
     if horizon % minibatch_size != 0:
         raise ValueError(f"minibatch_size {minibatch_size} must divide horizon {horizon}")
@@ -230,13 +217,6 @@ def ppo_update(
     def _diverged(what: str) -> TrainingDiverged:
         return TrainingDiverged(f"non-finite {what} during ppo update")
 
-    if epochs == 0:
-        outputs, _ = forward(params, config, buffer.obs)
-        summary = loss_breakdown(
-            outputs, buffer.actions, buffer.log_probs, adv, value_targets, coeffs
-        )
-        return params, adam_state, summary
-
     last_epoch: list[LossBreakdown] = []
     for epoch in range(epochs):
         order = rng.permutation(horizon)
@@ -246,16 +226,12 @@ def ppo_update(
             outputs, trace = forward(params, config, buffer.obs[idx])
             if not (np.all(np.isfinite(outputs.logits)) and np.all(np.isfinite(outputs.values))):
                 raise _diverged("network output")
-            breakdown = loss_breakdown(
+            breakdown, d_logits, d_values = loss_output_gradients(
                 outputs, buffer.actions[idx], buffer.log_probs[idx], adv[idx],
                 value_targets[idx], coeffs,
             )
             if not np.isfinite(breakdown.total):
                 raise _diverged("loss")
-            d_logits, d_values = loss_output_gradients(
-                outputs, buffer.actions[idx], buffer.log_probs[idx], adv[idx],
-                value_targets[idx], coeffs,
-            )
             grads = backprop(params, config, trace, d_logits, d_values)
             if not np.all(np.isfinite(grads)):
                 raise _diverged("gradient")

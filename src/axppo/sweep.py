@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,17 +157,33 @@ def _execute_run(plan: _RunPlan) -> RunResult:
 
 
 def run_sweep(spec: SweepSpec) -> list[RunResult]:
-    """Execute every run in the spec, then write runs.csv and table.md."""
+    """Execute every run in the spec, then write runs.csv and table.md.
+
+    A run that raises does not stop the others. Once all have ended, the
+    reports are written for the finished runs, in grid order, and the first
+    failed run's exception (in grid order) is re-raised.
+    """
     plans = plan_runs(spec)
     out_dir = Path(spec.output_dir)
     (out_dir / "logs").mkdir(parents=True, exist_ok=True)
 
+    finished: dict[int, RunResult] = {}
+    failed: dict[int, Exception] = {}
     if spec.parallelism == 1:
-        results = [_execute_run(p) for p in plans]
+        for i, plan in enumerate(plans):
+            try:
+                finished[i] = _execute_run(plan)
+            except Exception as exc:
+                failed[i] = exc
     else:
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            futures = [pool.submit(_execute_run, p) for p in plans]
-            results = [f.result() for f in futures]  # submission order == grid order
+            futures = {pool.submit(_execute_run, p): i for i, p in enumerate(plans)}
+            for future in as_completed(futures):
+                try:
+                    finished[futures[future]] = future.result()
+                except Exception as exc:
+                    failed[futures[future]] = exc
+    results = [finished[i] for i in sorted(finished)]
 
     for r in results:
         if r.diverged:
@@ -176,9 +192,19 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
                 "diverged; excluded from cell means",
                 file=sys.stderr,
             )
+    for i, exc in sorted(failed.items()):
+        plan = plans[i]
+        print(
+            f"error: run {plan.mode} c2={_fmt_num(plan.c2_base)} tau={plan.tau} seed={plan.seed} "
+            f"raised {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
 
-    (out_dir / "runs.csv").write_text(render_results(results, "csv"))
-    (out_dir / "table.md").write_text(render_results(results, "markdown"))
+    if results:
+        (out_dir / "runs.csv").write_text(render_results(results, "csv"))
+        (out_dir / "table.md").write_text(render_results(results, "markdown"))
+    if failed:
+        raise failed[min(failed)]
     return results
 
 

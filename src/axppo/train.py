@@ -93,8 +93,8 @@ class TrainConfig:
             raise ValueError(
                 f"minibatch_size {self.minibatch_size} must divide horizon {self.horizon}"
             )
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if self.seed < 0:
@@ -189,9 +189,15 @@ def train(config: TrainConfig) -> TrainResult:
 
 
 def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) -> EvalReport:
-    """Run eval_episodes full episodes sampling stochastically from the policy."""
+    """Run eval_episodes full episodes sampling stochastically from the policy.
+
+    Raises ValueError when params holds a NaN or infinite value: NaN logits
+    sample action 0 on every step, which would score as a plausible return.
+    """
     net = config.net_config()
     unpacked = unpack_params(params, net)
+    if not np.all(np.isfinite(params)):
+        raise ValueError("cannot evaluate parameters that hold NaN or infinite values")
 
     returns = []
     for _ in range(config.eval_episodes):

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from axppo.cli import build_parser, main, sweep_spec_from_args, train_config_from_args
-from axppo.net import load_checkpoint
+from axppo.net import load_checkpoint, save_checkpoint
 from axppo.train import TrainConfig
 
 
@@ -96,3 +97,14 @@ def test_eval_checkpoint_flag_required():
     with pytest.raises(SystemExit) as exc:
         main(["eval"])
     assert exc.value.code not in (0, None)
+
+
+def test_eval_reports_unloadable_checkpoint(tmp_path, capsys):
+    cfg = TrainConfig().net_config()
+    params = np.zeros(cfg.param_count)
+    params[3] = np.nan
+    bad = tmp_path / "nan.ckpt"
+    save_checkpoint(bad, cfg, params)
+    for path in (bad, tmp_path / "missing.ckpt"):
+        assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
+        assert "cannot load checkpoint: " in capsys.readouterr().out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import axppo.loss
 from axppo.loss import (
     LossBreakdown,
     LossCoefficients,
@@ -142,11 +143,17 @@ def test_total_independent_of_entropy_when_coefficient_zero():
     assert bd2.total - bd1.total == pytest.approx(-0.4 * bd1.entropy_term, abs=1e-12)
 
 
-def test_loss_rejects_non_finite():
-    outputs = NetworkOutput(logits=np.array([[np.nan, 0.0]]), values=np.array([0.0]))
-    with pytest.raises(ValueError):
-        loss_breakdown(outputs, np.array([0]), np.array([-0.7]), np.array([1.0]),
-                       np.array([0.0]), coeffs())
+@pytest.mark.parametrize("name", ["logits", "values", "old_log_probs", "advantages",
+                                  "value_targets"])
+def test_loss_rejects_non_finite(name):
+    inputs = dict(logits=np.array([[0.3, 0.0]]), values=np.array([0.0]),
+                  old_log_probs=np.array([-0.7]), advantages=np.array([1.0]),
+                  value_targets=np.array([0.0]))
+    inputs[name] = np.full_like(inputs[name], np.nan)
+    outputs = NetworkOutput(logits=inputs["logits"], values=inputs["values"])
+    with pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
+        loss_output_gradients(outputs, np.array([0]), inputs["old_log_probs"],
+                              inputs["advantages"], inputs["value_targets"], coeffs())
 
 
 def test_value_partial_matches_hand_derivative():
@@ -154,7 +161,7 @@ def test_value_partial_matches_hand_derivative():
     n = 6
     outputs = NetworkOutput(logits=rng.standard_normal((n, 2)), values=rng.standard_normal(n))
     targets = rng.standard_normal(n)
-    _, d_values = loss_output_gradients(
+    _, _, d_values = loss_output_gradients(
         outputs, rng.integers(0, 2, n), np.log(rng.uniform(0.2, 0.8, n)),
         rng.standard_normal(n), targets, coeffs(c1=0.5),
     )
@@ -168,7 +175,7 @@ def test_clipped_and_binding_sample_has_zero_policy_gradient():
     logits = np.array([[math.log(3.0), 0.0]])  # p(a=0) = 0.75
     old_log_prob = math.log(0.5)  # ratio 1.5
     outputs = NetworkOutput(logits=logits, values=np.array([0.0]))
-    d_logits, _ = loss_output_gradients(
+    _, d_logits, _ = loss_output_gradients(
         outputs, np.array([0]), np.array([old_log_prob]), np.array([2.0]),
         np.array([0.0]), coeffs(c1=0.5, c2=0.0, eps=0.2),
     )
@@ -205,7 +212,7 @@ def gradcheck_max_rel_error(rng, instances, h=1e-5):
                                   data["advantages"], data["value_targets"], cf).total
 
         out, trace = forward(params, cfg, data["obs"])
-        d_logits, d_values = loss_output_gradients(
+        _, d_logits, d_values = loss_output_gradients(
             out, data["actions"], data["old_log_probs"], data["advantages"],
             data["value_targets"], cf,
         )
@@ -241,17 +248,43 @@ def _synthetic_buffer(rng, horizon=64, obs_dim=4):
     )
 
 
-def test_ppo_update_zero_epochs_leaves_params_unchanged():
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_ppo_update_rejects_epochs_below_one(epochs):
     rng = np.random.default_rng(5)
     cfg, params, buffer = _synthetic_buffer(rng)
     adv, targets = rng.standard_normal(64), rng.standard_normal(64)
-    new_params, state, summary = ppo_update(
-        params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
-        coeffs(c2=0.1), epochs=0, minibatch_size=32, lr=1e-3,
-        rng=np.random.default_rng(0),
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        ppo_update(
+            params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
+            coeffs(c2=0.1), epochs=epochs, minibatch_size=32, lr=1e-3,
+            rng=np.random.default_rng(0),
+        )
+
+
+def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
+    calls = {"loss_output_gradients": 0, "loss_breakdown": 0}
+
+    def counted(name):
+        fn = getattr(axppo.loss, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(axppo.loss, name, counted(name))
+    rng = np.random.default_rng(5)
+    cfg, params, buffer = _synthetic_buffer(rng)
+    epochs, minibatch_size = 3, 16
+    _, _, summary = ppo_update(
+        params, cfg, init_adam_state(cfg.param_count), buffer, rng.standard_normal(64),
+        rng.standard_normal(64), coeffs(c2=0.1), epochs=epochs,
+        minibatch_size=minibatch_size, lr=1e-3, rng=np.random.default_rng(0),
     )
-    assert np.array_equal(new_params, params)
-    assert state.step_count == 0
+    assert calls == {"loss_output_gradients": epochs * 64 // minibatch_size,
+                     "loss_breakdown": 0}
     assert isinstance(summary, LossBreakdown)
 
 

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import axppo.sweep
 from axppo.sweep import (
     RUNS_CSV_HEADER,
     RunResult,
     SweepSpec,
+    _execute_run,
     plan_runs,
     render_results,
     run_sweep,
@@ -73,6 +75,27 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
         assert (a.mode, a.c2_base, a.tau, a.seed) == (b.mode, b.c2_base, b.tau, b.seed)
         assert a.final_mean_return == b.final_mean_return
         assert a.diverged == b.diverged
+
+
+def _execute_run_failing_standard_0_3(plan):
+    """_execute_run, except that the standard c2=0.3 run raises (module level: picklable)."""
+    if plan.mode == "standard" and plan.c2_base == 0.3:
+        raise RuntimeError("worker failed")
+    return _execute_run(plan)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, parallelism):
+    monkeypatch.setattr(axppo.sweep, "_execute_run", _execute_run_failing_standard_0_3)
+    spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
+                     parallelism=parallelism, output_dir=tmp_path, **TINY)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_sweep(spec)
+    rows = list(csv.DictReader((tmp_path / "runs.csv").read_text().splitlines()))
+    assert [(r["mode"], float(r["c2"]), r["tau"]) for r in rows] == [
+        ("standard", 0.0, ""), ("adaptive", 0.3, "2"),
+    ]
+    assert "axPPO tau=2" in (tmp_path / "table.md").read_text()
 
 
 def make_results():

@@ -31,6 +31,8 @@ def test_config_defaults_and_validation():
         TrainConfig(minibatch_size=100)  # does not divide horizon
     with pytest.raises(ValueError):
         TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        TrainConfig(epochs=0)
 
 
 def test_two_updates_two_records():
@@ -159,6 +161,15 @@ def test_evaluate_hand_built_always_right_policy():
     report = evaluate(params, cfg, np.random.default_rng(2))
     assert all(1.0 <= r < 500.0 for r in report.per_episode_returns)
     assert report.mean_return < 50.0  # the pole falls quickly
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_evaluate_rejects_non_finite_params(bad):
+    cfg = TrainConfig(**FAST)
+    params = np.zeros(cfg.net_config().param_count)
+    params[0] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        evaluate(params, cfg, np.random.default_rng(0))
 
 
 def test_update_log_format(tmp_path):
