@@ -8,10 +8,20 @@ minimized is
 where every term is a minibatch mean. c2_effective is whatever coefficient
 applies this update: the configured value in standard mode, or the
 return-scaled value in adaptive mode. It is frozen for the whole update.
+
+Finiteness checks. loss_output_gradients rejects a NaN or infinite input with
+a ValueError that names it, through one sum over all five inputs (a finite
+sum implies finite entries). ppo_update checks the inputs that are fixed for
+the whole update (buffer.log_probs, the normalized advantages, value_targets)
+once, before its first minibatch; per minibatch it relies on
+loss_output_gradients for the network output, then checks the loss and the
+gradient itself. Every non-finite value found inside ppo_update raises
+TrainingDiverged.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +51,11 @@ ADV_TARGET_STD = 2.0
 
 class TrainingDiverged(RuntimeError):
     """Raised when a rollout or update produces non-finite numbers."""
+
+
+class _NonFiniteInput(ValueError):
+    """loss_output_gradients' error for a NaN or infinite input; ppo_update turns it into
+    TrainingDiverged."""
 
 
 @dataclass(frozen=True)
@@ -134,10 +149,13 @@ def loss_output_gradients(
         raise ValueError("minibatch arrays are not aligned")
     if n < 1:
         raise ValueError("minibatch must hold at least one sample")
-    for name, arr in (("logits", logits), ("values", values), ("old_log_probs", old_log_probs),
-                      ("advantages", advantages), ("value_targets", value_targets)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite entries in {name}")
+    # a finite sum means every entry is finite, so one sum settles the usual case
+    if not math.isfinite(logits.sum() + values.sum() + old_log_probs.sum() + advantages.sum()
+                         + value_targets.sum()):
+        for name, arr in (("logits", logits), ("values", values), ("old_log_probs", old_log_probs),
+                          ("advantages", advantages), ("value_targets", value_targets)):
+            if not np.isfinite(arr).all():
+                raise _NonFiniteInput(f"non-finite entries in {name}")
 
     rows = np.arange(n)
     log_p = log_softmax(logits)
@@ -146,14 +164,15 @@ def loss_output_gradients(
     unclipped = ratio * advantages
     clipped = np.clip(ratio, 1.0 - coeffs.clip_epsilon, 1.0 + coeffs.clip_epsilon) * advantages
     value_err = values - value_targets
-    entropy = -np.sum(p * log_p, axis=-1)
+    entropy = -(p * log_p).sum(axis=-1)
 
-    clip_term = float(np.minimum(unclipped, clipped).mean())
-    value_term = float(0.5 * np.mean(value_err**2))
-    entropy_term = float(entropy.mean())
+    # sum / n is the float division x.mean() makes, without its Python-level wrapper
+    clip_term = float(np.minimum(unclipped, clipped).sum() / n)
+    value_term = float(0.5 * ((value_err**2).sum() / n))
+    entropy_term = float(entropy.sum() / n)
     total = -clip_term + coeffs.c1 * value_term - coeffs.c2_effective * entropy_term
 
-    d_logp = np.where(unclipped <= clipped, -ratio * advantages, 0.0)
+    d_logp = np.where(unclipped <= clipped, -unclipped, 0.0)  # -unclipped == -ratio * A
     one_hot = np.zeros_like(p)
     one_hot[rows, actions] = 1.0
     d_logits = d_logp[:, None] * (one_hot - p)
@@ -201,6 +220,12 @@ def ppo_update(
     epoch loop, so every epoch sees the same values. Returns the updated
     parameters, optimizer state, and the mean loss breakdown over the last
     epoch's minibatches.
+
+    Raises TrainingDiverged on non-finite numbers: the inputs that are fixed
+    for the whole update (buffer.log_probs, the normalized advantages,
+    value_targets) are checked once before the first minibatch; the network
+    output through loss_output_gradients' own check; then the loss and the
+    gradient of every minibatch.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -209,6 +234,7 @@ def ppo_update(
         raise ValueError(f"minibatch_size {minibatch_size} must divide horizon {horizon}")
     advantages = np.asarray(advantages, dtype=np.float64)
     value_targets = np.asarray(value_targets, dtype=np.float64)
+    old_log_probs = np.asarray(buffer.log_probs, dtype=np.float64)
     if advantages.shape != (horizon,) or value_targets.shape != (horizon,):
         raise ValueError("advantages/value_targets are not aligned with the buffer")
 
@@ -217,23 +243,31 @@ def ppo_update(
     def _diverged(what: str) -> TrainingDiverged:
         return TrainingDiverged(f"non-finite {what} during ppo update")
 
+    for name, arr in (("buffer.log_probs", old_log_probs), ("advantages", adv),
+                      ("value_targets", value_targets)):
+        if not np.isfinite(arr).all():
+            raise _diverged(name)
+
     last_epoch: list[LossBreakdown] = []
     for epoch in range(epochs):
         order = rng.permutation(horizon)
         is_last = epoch == epochs - 1
+        # one gather per epoch; each minibatch is then a contiguous slice of it
+        obs_e, actions_e = buffer.obs[order], buffer.actions[order]
+        log_probs_e, adv_e, targets_e = old_log_probs[order], adv[order], value_targets[order]
         for start in range(0, horizon, minibatch_size):
-            idx = order[start : start + minibatch_size]
-            outputs, trace = forward(params, config, buffer.obs[idx])
-            if not (np.all(np.isfinite(outputs.logits)) and np.all(np.isfinite(outputs.values))):
-                raise _diverged("network output")
-            breakdown, d_logits, d_values = loss_output_gradients(
-                outputs, buffer.actions[idx], buffer.log_probs[idx], adv[idx],
-                value_targets[idx], coeffs,
-            )
-            if not np.isfinite(breakdown.total):
+            mb = slice(start, start + minibatch_size)
+            outputs, trace = forward(params, config, obs_e[mb])
+            try:
+                breakdown, d_logits, d_values = loss_output_gradients(
+                    outputs, actions_e[mb], log_probs_e[mb], adv_e[mb], targets_e[mb], coeffs
+                )
+            except _NonFiniteInput as exc:  # only the network output is left unchecked
+                raise TrainingDiverged(f"{exc} during ppo update") from exc
+            if not math.isfinite(breakdown.total):
                 raise _diverged("loss")
-            grads = backprop(params, config, trace, d_logits, d_values)
-            if not np.all(np.isfinite(grads)):
+            grads = backprop(config, trace, d_logits, d_values)
+            if not np.isfinite(grads).all():
                 raise _diverged("gradient")
             params, adam_state = adam_step(params, grads, adam_state, lr)
             if is_last:

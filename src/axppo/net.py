@@ -9,12 +9,18 @@ optimizer state and checkpoints can be compared element for element:
     trunk layer 1 weights, trunk layer 1 biases, ...,
     policy head weights, policy head biases,
     value head weights, value head bias.
+
+forward records the (weight, bias) views it used on its ForwardTrace, and
+backprop reads the layers from there, so a minibatch unpacks the parameter
+vector once. Neither checks its numbers for finiteness: the minibatch loss
+(loss.loss_output_gradients) checks the network output and ppo_update the
+gradient. load_checkpoint rejects non-finite values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture of the actor-critic network (4 -> 64 -> 64 -> 2+1 for CartPole)."""
+    """Architecture of the actor-critic network (4 -> 64 -> 64 -> 2+1 for CartPole).
+
+    layer_dims, the (fan_in, fan_out) of every affine layer (trunk layers, policy
+    head, value head), and param_count are derived once, at construction.
+    """
 
     obs_dim: int
     hidden_sizes: tuple[int, ...] = (64, 64)
     action_count: int = 2
+    layer_dims: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    param_count: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -49,21 +61,11 @@ class NetworkConfig:
             raise ValueError(f"action_count must be >= 2, got {self.action_count}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
-
-    def layer_dims(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) of every affine layer: trunk layers, policy head, value head."""
-        dims = []
-        prev = self.obs_dim
-        for h in self.hidden_sizes:
-            dims.append((prev, h))
-            prev = h
-        dims.append((prev, self.action_count))
-        dims.append((prev, 1))
-        return dims
-
-    @property
-    def param_count(self) -> int:
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
+        fan_ins = (self.obs_dim, *self.hidden_sizes)
+        dims = (*zip(fan_ins, self.hidden_sizes), (fan_ins[-1], self.action_count),
+                (fan_ins[-1], 1))
+        object.__setattr__(self, "layer_dims", dims)
+        object.__setattr__(self, "param_count", sum((i + 1) * o for i, o in dims))
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,15 @@ class NetworkOutput:
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Intermediates of one forward pass, enough to backpropagate without re-running it."""
+    """Intermediates of one forward pass, enough to backpropagate without re-running it.
+
+    layers holds the (weight, bias) views the pass used, so backprop takes its
+    gradient against exactly those weights without unpacking them again.
+    """
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
 
 def init_params(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
@@ -91,11 +97,21 @@ def init_params(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
     generator state.
     """
     chunks = []
-    for fan_in, fan_out in config.layer_dims():
+    for fan_in, fan_out in config.layer_dims:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
     return np.concatenate(chunks)
+
+
+def _layer_views(flat: np.ndarray, config: NetworkConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    layers = []
+    offset = 0
+    for fan_in, fan_out in config.layer_dims:
+        end = offset + fan_in * fan_out
+        layers.append((flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        offset = end + fan_out
+    return layers
 
 
 def unpack_params(params: np.ndarray, config: NetworkConfig) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -105,15 +121,7 @@ def unpack_params(params: np.ndarray, config: NetworkConfig) -> list[tuple[np.nd
         raise ValueError(
             f"parameter vector has shape {params.shape}, expected ({config.param_count},)"
         )
-    layers = []
-    offset = 0
-    for fan_in, fan_out in config.layer_dims():
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = params[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
-    return layers
+    return _layer_views(params, config)
 
 
 def forward(
@@ -132,18 +140,17 @@ def forward(
     layers = unpack_params(params, config)
     trunk, (w_pi, b_pi), (w_v, b_v) = layers[:-2], layers[-2], layers[-1]
 
-    pre_activations = []
     activations = []
     a = obs_batch
     for w, b in trunk:
-        z = a @ w + b
-        a = np.tanh(z)
-        pre_activations.append(z)
+        a = a @ w
+        a += b
+        np.tanh(a, out=a)
         activations.append(a)
 
     logits = a @ w_pi + b_pi
     values = a @ w_v[:, 0] + b_v[0]
-    trace = ForwardTrace(inputs=obs_batch, pre_activations=pre_activations, activations=activations)
+    trace = ForwardTrace(inputs=obs_batch, activations=activations, layers=layers)
     return NetworkOutput(logits=logits, values=values), trace
 
 
@@ -161,7 +168,6 @@ def forward_single(
 
 
 def backprop(
-    params: np.ndarray,
     config: NetworkConfig,
     trace: ForwardTrace,
     d_logits: np.ndarray,
@@ -169,9 +175,11 @@ def backprop(
 ) -> np.ndarray:
     """Gradient of sum_n (d_logits[n] . logits[n] + d_values[n] * values[n]) w.r.t. params.
 
-    The caller supplies loss partials already scaled by its averaging convention
-    (typically 1/batch), so this routine just sums over the batch. Returns a flat
-    gradient with the same layout as the parameter vector.
+    The weights are the ones the traced forward pass used (trace.layers). The
+    caller supplies loss partials already scaled by its averaging convention
+    (typically 1/batch), so this routine just sums over the batch. Returns a
+    fresh flat gradient with the same layout as the parameter vector; each
+    layer's gradient is written into it through a view.
     """
     d_logits = np.asarray(d_logits, dtype=np.float64)
     d_values = np.asarray(d_values, dtype=np.float64)
@@ -181,32 +189,31 @@ def backprop(
             f"partials have shapes {d_logits.shape}/{d_values.shape}, expected "
             f"({n}, {config.action_count})/({n},)"
         )
-    layers = unpack_params(params, config)
-    trunk, (w_pi, _), (w_v, _) = layers[:-2], layers[-2], layers[-1]
+    grads = np.empty(config.param_count)
+    grad_layers = _layer_views(grads, config)
+    trunk, (w_pi, _), (w_v, _) = trace.layers[:-2], trace.layers[-2], trace.layers[-1]
+    (g_w_pi, g_b_pi), (g_w_v, g_b_v) = grad_layers[-2], grad_layers[-1]
     # inputs feeding each trunk layer, then the heads
-    layer_inputs = [trace.inputs] + trace.activations
+    layer_inputs = [trace.inputs, *trace.activations]
     h_last = layer_inputs[-1]
 
-    g_w_pi = h_last.T @ d_logits
-    g_b_pi = d_logits.sum(axis=0)
-    g_w_v = (h_last.T @ d_values)[:, None]
-    g_b_v = np.array([d_values.sum()])
+    np.matmul(h_last.T, d_logits, out=g_w_pi)
+    d_logits.sum(axis=0, out=g_b_pi)
+    np.matmul(h_last.T, d_values, out=g_w_v[:, 0])
+    g_b_v[0] = d_values.sum()
 
     d_h = d_logits @ w_pi.T + np.outer(d_values, w_v[:, 0])
-    trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
     for i in range(len(trunk) - 1, -1, -1):
         a = trace.activations[i]
-        dz = d_h * (1.0 - a * a)  # tanh'(z) = 1 - tanh(z)^2
-        trunk_grads.append((layer_inputs[i].T @ dz, dz.sum(axis=0)))
+        dz = a * a
+        np.subtract(1.0, dz, out=dz)
+        dz *= d_h  # d_h * tanh'(z), tanh'(z) = 1 - tanh(z)^2
+        g_w, g_b = grad_layers[i]
+        np.matmul(layer_inputs[i].T, dz, out=g_w)
+        dz.sum(axis=0, out=g_b)
         if i > 0:
             d_h = dz @ trunk[i][0].T
-
-    chunks = []
-    for g_w, g_b in reversed(trunk_grads):
-        chunks.append(g_w.ravel())
-        chunks.append(g_b)
-    chunks.extend([g_w_pi.ravel(), g_b_pi, g_w_v.ravel(), g_b_v])
-    return np.concatenate(chunks)
+    return grads
 
 
 def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray) -> None:
@@ -232,28 +239,58 @@ def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path: str | Path) -> tuple[NetworkConfig, np.ndarray]:
     """Read a save_checkpoint file.
 
-    Raises ValueError, naming the file, on a wrong value count, an activation
-    other than tanh, or a NaN or infinite value.
+    Raises ValueError, naming the file, on a header that is not a JSON object,
+    a missing or non-integer architecture field (named too), an activation
+    other than tanh, a value that is not a hex float, a wrong value count, or
+    a NaN or infinite value.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"empty checkpoint file: {path}")
-    meta = json.loads(lines[0])
+    try:
+        meta = json.loads(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} has a header that is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"checkpoint {path} has a header that is not a JSON object")
     if meta.get("activation", "tanh") != "tanh":
         raise ValueError(f"unsupported activation {meta['activation']!r} in {path}")
-    config = NetworkConfig(
-        obs_dim=meta["obs_dim"],
-        hidden_sizes=tuple(meta["hidden_sizes"]),
-        action_count=meta["action_count"],
-    )
-    params = np.array([float.fromhex(line) for line in lines[1:] if line], dtype=np.float64)
+    for name in ("obs_dim", "hidden_sizes", "action_count"):
+        if name not in meta:
+            raise ValueError(f"checkpoint {path} header lacks the field {name!r}")
+    for name in ("obs_dim", "action_count"):
+        if not _is_int(meta[name]):
+            raise ValueError(
+                f"checkpoint {path} header field {name!r} is not an integer: {meta[name]!r}"
+            )
+    hidden = meta["hidden_sizes"]
+    if not (isinstance(hidden, list) and all(map(_is_int, hidden))):
+        raise ValueError(
+            f"checkpoint {path} header field 'hidden_sizes' is not a list of integers: {hidden!r}"
+        )
+    try:
+        config = NetworkConfig(
+            obs_dim=meta["obs_dim"],
+            hidden_sizes=tuple(hidden),
+            action_count=meta["action_count"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} header: {exc}") from None
+    try:
+        params = np.array([float.fromhex(line) for line in lines[1:] if line], dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} holds a value that is not a hex float: {exc}") from None
     if params.shape != (config.param_count,):
         raise ValueError(
             f"checkpoint {path} holds {params.shape[0]} values, expected {config.param_count}"
         )
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ValueError(f"checkpoint {path} holds non-finite parameters")
     return config, params

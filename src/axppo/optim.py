@@ -1,4 +1,8 @@
-"""Adam on flat parameter vectors, plus a central-difference gradient oracle."""
+"""Adam on flat parameter vectors, plus a central-difference gradient oracle.
+
+adam_step rejects a non-finite gradient with a ValueError; ppo_update checks
+its gradients before calling it, so that training raises TrainingDiverged.
+"""
 
 from __future__ import annotations
 
@@ -32,7 +36,10 @@ def init_adam_state(param_count: int) -> AdamState:
 def adam_step(
     params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Inputs are left unmodified."""
+    """One bias-corrected Adam update.
+
+    Inputs are left unmodified, and no returned array shares memory with them.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape or state.first_moment.shape != params.shape:
@@ -42,15 +49,27 @@ def adam_step(
         )
     if lr <= 0.0:
         raise ValueError(f"lr must be > 0, got {lr}")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient entries; update rejected")
 
+    # the float operations of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
+    # params - lr * m_hat / (sqrt(v_hat) + eps), in that order, computed in place on
+    # arrays allocated here
     t = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m = np.multiply(state.first_moment, ADAM_BETA1)
+    scratch = np.multiply(grads, 1.0 - ADAM_BETA1)
+    m += scratch
+    v = np.multiply(state.second_moment, ADAM_BETA2)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= grads
+    v += scratch
+    new_params = np.divide(m, 1.0 - ADAM_BETA1**t)
+    new_params *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPS
+    new_params /= scratch
+    np.subtract(params, new_params, out=new_params)
     return new_params, AdamState(first_moment=m, second_moment=v, step_count=t)
 
 

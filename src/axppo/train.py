@@ -171,7 +171,7 @@ def train(config: TrainConfig) -> TrainResult:
                 epochs=config.epochs, minibatch_size=config.minibatch_size,
                 lr=config.lr, rng=shuffle_rng,
             )
-            if not np.all(np.isfinite(params)):
+            if not np.isfinite(params).all():
                 raise TrainingDiverged(f"non-finite parameters after update {t}")
         except TrainingDiverged as exc:
             return TrainResult(params=params, records=tuple(records), diverged=True, error=str(exc))
@@ -196,7 +196,7 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
     """
     net = config.net_config()
     unpacked = unpack_params(params, net)
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise ValueError("cannot evaluate parameters that hold NaN or infinite values")
 
     returns = []

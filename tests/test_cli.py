@@ -105,6 +105,8 @@ def test_eval_reports_unloadable_checkpoint(tmp_path, capsys):
     params[3] = np.nan
     bad = tmp_path / "nan.ckpt"
     save_checkpoint(bad, cfg, params)
-    for path in (bad, tmp_path / "missing.ckpt"):
+    no_field = tmp_path / "no_field.ckpt"
+    no_field.write_text('{"obs_dim": 4}\n' + bad.read_text().split("\n", 1)[1])
+    for path in (bad, tmp_path / "missing.ckpt", no_field):
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
         assert "cannot load checkpoint: " in capsys.readouterr().out

@@ -216,7 +216,7 @@ def gradcheck_max_rel_error(rng, instances, h=1e-5):
             out, data["actions"], data["old_log_probs"], data["advantages"],
             data["value_targets"], cf,
         )
-        analytic = backprop(params, cfg, trace, d_logits, d_values)
+        analytic = backprop(cfg, trace, d_logits, d_values)
         numeric = finite_diff_gradient(loss_fn, params, h)
         denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
         worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
@@ -325,6 +325,40 @@ def test_ppo_update_diverges_on_nan_buffer():
                    rng.standard_normal(64), rng.standard_normal(64),
                    coeffs(), epochs=1, minibatch_size=32, lr=1e-3,
                    rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", ["advantages", "value_targets", "buffer.log_probs"])
+def test_ppo_update_checks_fixed_inputs_before_first_minibatch(monkeypatch, name):
+    forward_calls = []
+
+    def counted_forward(*args, **kwargs):
+        forward_calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(axppo.loss, "forward", counted_forward)
+    rng = np.random.default_rng(9)
+    cfg, params, buffer = _synthetic_buffer(rng)
+    inputs = dict(advantages=rng.standard_normal(64), value_targets=rng.standard_normal(64))
+    if name == "buffer.log_probs":
+        buffer.log_probs[5] = np.nan
+    else:
+        inputs[name][5] = np.nan
+    with pytest.raises(TrainingDiverged, match=f"non-finite {name} "):
+        ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
+                   inputs["advantages"], inputs["value_targets"], coeffs(), epochs=1,
+                   minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
+    assert forward_calls == []
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3])
+def test_ppo_update_rejects_non_positive_lr_as_value_error(lr):
+    rng = np.random.default_rng(9)
+    cfg, params, buffer = _synthetic_buffer(rng)
+    with pytest.raises(ValueError, match="lr must be > 0") as exc:
+        ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
+                   rng.standard_normal(64), rng.standard_normal(64), coeffs(), epochs=1,
+                   minibatch_size=32, lr=lr, rng=np.random.default_rng(0))
+    assert not isinstance(exc.value, TrainingDiverged)
 
 
 def test_coefficient_validation():

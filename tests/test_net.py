@@ -52,7 +52,7 @@ def test_init_respects_uniform_bound():
     bound = np.sqrt(6.0 / (4 + 64))
     assert np.all(np.abs(layers[0][0]) <= bound)
     assert bound == pytest.approx(0.2970, abs=1e-4)
-    for (fan_in, fan_out), (w, _) in zip(cfg.layer_dims(), layers):
+    for (fan_in, fan_out), (w, _) in zip(cfg.layer_dims, layers):
         assert np.all(np.abs(w) <= np.sqrt(6.0 / (fan_in + fan_out)))
 
 
@@ -116,14 +116,14 @@ def test_backprop_zero_partials_zero_gradient():
     cfg = NetworkConfig(obs_dim=4, hidden_sizes=(6,), action_count=2)
     params = init_params(cfg, np.random.default_rng(2))
     _, trace = forward(params, cfg, np.random.default_rng(5).standard_normal((4, 4)))
-    grads = backprop(params, cfg, trace, np.zeros((4, 2)), np.zeros(4))
+    grads = backprop(cfg, trace, np.zeros((4, 2)), np.zeros(4))
     assert grads.shape == params.shape
     assert np.all(grads == 0.0)
 
 
 def test_backprop_toy_value_head_gradient():
     _, trace = forward(TOY_PARAMS, TOY_CONFIG, np.array([[0.5]]))
-    grads = backprop(TOY_PARAMS, TOY_CONFIG, trace, np.zeros((1, 2)), np.array([1.0]))
+    grads = backprop(TOY_CONFIG, trace, np.zeros((1, 2)), np.array([1.0]))
     # layout: [w_trunk, b_trunk, w_pi (2), b_pi (2), w_v, b_v]
     h = np.tanh(0.5)
     assert grads[6] == pytest.approx(h, abs=1e-12)  # value-head weight
@@ -133,10 +133,21 @@ def test_backprop_toy_value_head_gradient():
     assert grads[0] == pytest.approx(0.5 * 2 * (1 - h * h), abs=1e-12)
 
 
+def test_backprop_gradient_shares_no_memory_with_trace():
+    cfg = NetworkConfig(obs_dim=4, hidden_sizes=(6, 5), action_count=2)
+    params = init_params(cfg, np.random.default_rng(2))
+    _, trace = forward(params, cfg, np.random.default_rng(5).standard_normal((4, 4)))
+    d_logits, d_values = np.ones((4, 2)), np.ones(4)
+    grads = backprop(cfg, trace, d_logits, d_values)
+    traced = [trace.inputs, *trace.activations, *(a for layer in trace.layers for a in layer)]
+    assert not any(np.shares_memory(grads, a) for a in [params, d_logits, d_values, *traced])
+    assert np.array_equal(grads, backprop(cfg, trace, d_logits, d_values))
+
+
 def test_backprop_shape_mismatch():
     _, trace = forward(TOY_PARAMS, TOY_CONFIG, np.array([[0.5]]))
     with pytest.raises(ValueError):
-        backprop(TOY_PARAMS, TOY_CONFIG, trace, np.zeros((2, 2)), np.zeros(2))
+        backprop(TOY_CONFIG, trace, np.zeros((2, 2)), np.zeros(2))
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -174,4 +185,34 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "diverged.ckpt"
     save_checkpoint(path, TOY_CONFIG, params)
     with pytest.raises(ValueError, match="diverged.ckpt"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header,field", [
+    ('{"obs_dim": 4}', "hidden_sizes"),
+    ('{"hidden_sizes": [64, 64], "action_count": 2}', "obs_dim"),
+    ('[1, 2]', None),
+    ('{"obs_dim": "4", "hidden_sizes": [64, 64], "action_count": 2}', "obs_dim"),
+    ('{"obs_dim": 4, "hidden_sizes": [64, "64"], "action_count": 2}', "hidden_sizes"),
+    ('{"obs_dim": 4, "hidden_sizes": 64, "action_count": 2}', "hidden_sizes"),
+    ('{"obs_dim": 4, "hidden_sizes": [64, 64], "action_count": true}', "action_count"),
+    ('{"obs_dim": 4, "hidden_sizes": [64, 64], "action_count": 0}', None),
+    ('{"obs_dim": 4,', None),
+], ids=["no-hidden_sizes", "no-obs_dim", "not-an-object", "string-obs_dim",
+        "string-in-hidden_sizes", "scalar-hidden_sizes", "bool-action_count", "zero-action_count",
+        "not-json"])
+def test_checkpoint_rejects_malformed_header(tmp_path, header, field):
+    path = tmp_path / "malformed.ckpt"
+    path.write_text(header + "\n" + "0x0.0p+0\n" * 4675)
+    with pytest.raises(ValueError, match="malformed.ckpt") as exc:
+        load_checkpoint(path)
+    if field is not None:
+        assert repr(field) in str(exc.value)
+
+
+def test_checkpoint_rejects_bad_hex_value(tmp_path):
+    path = tmp_path / "badhex.ckpt"
+    save_checkpoint(path, TOY_CONFIG, TOY_PARAMS)
+    path.write_text(path.read_text().replace(float(TOY_PARAMS[0]).hex(), "0xzz", 1))
+    with pytest.raises(ValueError, match="badhex.ckpt"):
         load_checkpoint(path)

@@ -31,12 +31,37 @@ def test_adam_step_is_pure():
     grads = rng.standard_normal(10)
     state = AdamState(rng.standard_normal(10) * 0.01, np.abs(rng.standard_normal(10)) * 0.01, 5)
     params_copy, grads_copy = params.copy(), grads.copy()
+    m_copy, v_copy = state.first_moment.copy(), state.second_moment.copy()
     out1 = adam_step(params, grads, state, lr=3e-4)
     out2 = adam_step(params, grads, state, lr=3e-4)
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1].first_moment, out2[1].first_moment)
+    assert np.array_equal(out1[1].second_moment, out2[1].second_moment)
     assert np.array_equal(params, params_copy)
     assert np.array_equal(grads, grads_copy)
+    assert np.array_equal(state.first_moment, m_copy)
+    assert np.array_equal(state.second_moment, v_copy)
+    new_params, new_state = out1
+    outputs = [new_params, new_state.first_moment, new_state.second_moment]
+    inputs = [params, grads, state.first_moment, state.second_moment]
+    assert not any(np.shares_memory(o, i) for o in outputs for i in inputs)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(outputs) for b in outputs[i + 1:])
+
+
+def test_adam_step_matches_reference_formula_bitwise():
+    # the textbook expression, evaluated with fresh temporaries, is the reference
+    rng = np.random.default_rng(1)
+    params = rng.standard_normal(50)
+    m, v, p = np.zeros(50), np.zeros(50), params
+    state = init_adam_state(50)
+    for t in range(1, 51):
+        g = rng.standard_normal(50) * 10.0 ** rng.uniform(-6, 2)
+        params, state = adam_step(params, g, state, lr=1e-3)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        p = p - 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert np.array_equal(params, p)
+        assert np.array_equal(state.first_moment, m) and np.array_equal(state.second_moment, v)
 
 
 def test_rejects_non_finite_gradients():
