@@ -10,13 +10,13 @@ applies this update: the configured value in standard mode, or the
 return-scaled value in adaptive mode. It is frozen for the whole update.
 
 Finiteness checks. loss_output_gradients rejects a NaN or infinite input with
-a ValueError that names it, through one sum over all five inputs (a finite
-sum implies finite entries). ppo_update checks the inputs that are fixed for
-the whole update (buffer.log_probs, the normalized advantages, value_targets)
-once, before its first minibatch; per minibatch it relies on
-loss_output_gradients for the network output, then checks the loss and the
-gradient itself. Every non-finite value found inside ppo_update raises
-TrainingDiverged.
+a ValueError that names it, through one isfinite over all five inputs joined
+(exact, and silent on infinities). ppo_update checks the inputs that are fixed
+for the whole update (buffer.log_probs, the normalized advantages,
+value_targets) once, before its first minibatch; per minibatch it relies on
+loss_output_gradients for the network output, checks the loss itself, and
+relies on adam_step for the gradient. Every non-finite value found inside
+ppo_update raises TrainingDiverged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import NetworkConfig, NetworkOutput, backprop, forward
-from .optim import AdamState, adam_step
+from .optim import AdamState, _NonFiniteGradient, adam_step
 
 __all__ = [
     "TrainingDiverged",
@@ -84,9 +84,9 @@ class LossBreakdown:
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log softmax along the given axis."""
     logits = np.asarray(logits, dtype=np.float64)
-    # array methods reduce exactly like np.max/np.sum without their Python-level dispatch
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    # the ufunc reductions behind .max/.sum, called without the methods' Python wrappers
+    shifted = logits - np.maximum.reduce(logits, axis=axis, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def categorical_entropy(logits: np.ndarray) -> float | np.ndarray:
@@ -149,9 +149,8 @@ def loss_output_gradients(
         raise ValueError("minibatch arrays are not aligned")
     if n < 1:
         raise ValueError("minibatch must hold at least one sample")
-    # a finite sum means every entry is finite, so one sum settles the usual case
-    if not math.isfinite(logits.sum() + values.sum() + old_log_probs.sum() + advantages.sum()
-                         + value_targets.sum()):
+    if not np.isfinite(np.concatenate(
+            (logits.ravel(), values, old_log_probs, advantages, value_targets))).all():
         for name, arr in (("logits", logits), ("values", values), ("old_log_probs", old_log_probs),
                           ("advantages", advantages), ("value_targets", value_targets)):
             if not np.isfinite(arr).all():
@@ -224,8 +223,8 @@ def ppo_update(
     Raises TrainingDiverged on non-finite numbers: the inputs that are fixed
     for the whole update (buffer.log_probs, the normalized advantages,
     value_targets) are checked once before the first minibatch; the network
-    output through loss_output_gradients' own check; then the loss and the
-    gradient of every minibatch.
+    output through loss_output_gradients' own check; the loss of every
+    minibatch here; its gradient through adam_step's own check.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -267,9 +266,10 @@ def ppo_update(
             if not math.isfinite(breakdown.total):
                 raise _diverged("loss")
             grads = backprop(config, trace, d_logits, d_values)
-            if not np.isfinite(grads).all():
-                raise _diverged("gradient")
-            params, adam_state = adam_step(params, grads, adam_state, lr)
+            try:
+                params, adam_state = adam_step(params, grads, adam_state, lr)
+            except _NonFiniteGradient as exc:
+                raise _diverged("gradient") from exc
             if is_last:
                 last_epoch.append(breakdown)
 

@@ -13,8 +13,8 @@ optimizer state and checkpoints can be compared element for element:
 forward records the (weight, bias) views it used on its ForwardTrace, and
 backprop reads the layers from there, so a minibatch unpacks the parameter
 vector once. Neither checks its numbers for finiteness: the minibatch loss
-(loss.loss_output_gradients) checks the network output and ppo_update the
-gradient. load_checkpoint rejects non-finite values.
+(loss.loss_output_gradients) checks the network output and optim.adam_step
+the gradient. load_checkpoint rejects non-finite values.
 """
 
 from __future__ import annotations
@@ -157,13 +157,24 @@ def forward(
 def forward_single(
     unpacked: list[tuple[np.ndarray, np.ndarray]], obs: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Fast path for one observation given pre-unpacked layers: (logits, value)."""
+    """Fast path for one observation given pre-unpacked layers: (logits, value).
+
+    Bitwise equal to tanh(a @ w + b) per trunk layer and the same two heads.
+    np.dot reaches the same BLAS gemv/ddot call as @ with less dispatch, and
+    the bias and tanh act in place on the fresh vector each product returns.
+    math.tanh/exp/log would be cheaper still, but they round differently from
+    numpy's vector loops; one merged (hidden, actions + 1) head would make the
+    value a gemv instead of a ddot, which rounds differently too.
+    """
     trunk, (w_pi, b_pi), (w_v, b_v) = unpacked[:-2], unpacked[-2], unpacked[-1]
     a = obs
     for w, b in trunk:
-        a = np.tanh(a @ w + b)
-    logits = a @ w_pi + b_pi
-    value = float(a @ w_v[:, 0] + b_v[0])
+        a = np.dot(a, w)
+        a += b
+        np.tanh(a, out=a)
+    logits = np.dot(a, w_pi)
+    logits += b_pi
+    value = float(np.dot(a, w_v[:, 0]) + b_v[0])
     return logits, value
 
 

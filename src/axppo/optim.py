@@ -1,7 +1,9 @@
 """Adam on flat parameter vectors, plus a central-difference gradient oracle.
 
-adam_step rejects a non-finite gradient with a ValueError; ppo_update checks
-its gradients before calling it, so that training raises TrainingDiverged.
+adam_step rejects a non-finite gradient with a ValueError. It is the only
+check of the gradient in training: ppo_update turns that error (a private
+subclass, told apart from adam_step's lr and shape errors) into
+TrainingDiverged.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ __all__ = ["AdamState", "init_adam_state", "adam_step", "finite_diff_gradient"]
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+class _NonFiniteGradient(ValueError):
+    """adam_step's error for a NaN or infinite gradient; ppo_update turns it into
+    TrainingDiverged."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +57,7 @@ def adam_step(
     if lr <= 0.0:
         raise ValueError(f"lr must be > 0, got {lr}")
     if not np.isfinite(grads).all():
-        raise ValueError("non-finite gradient entries; update rejected")
+        raise _NonFiniteGradient("non-finite gradient entries; update rejected")
 
     # the float operations of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
     # params - lr * m_hat / (sqrt(v_hat) + eps), in that order, computed in place on

@@ -11,8 +11,10 @@ cart out of bounds) masks the successor value to zero, while truncation (the
 actually reached, since the time limit is not a property of the task.
 
 Every policy-driven step, here and in train.evaluate, goes through one
-private helper, _policy_step: observation, forward_single, log-softmax,
-sample_categorical, cartpole.step, each looked up in this module's globals at
+private helper, _policy_step: observation, forward_single, a two-action
+log-softmax (_log_softmax2, loss.log_softmax bit for bit up to the sign of
+a NaN), sample_categorical, cartpole.step. forward_single,
+sample_categorical, step and reset are looked up in this module's globals at
 call time so that tests can substitute them. collect_rollout keeps each step
 as a tuple, stacks the columns into arrays once, and checks the stacked
 network outputs for non-finite values once per rollout.
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cartpole import CartPoleState, reset, step
-from .loss import TrainingDiverged, log_softmax
+from .loss import TrainingDiverged
 from .net import NetworkConfig, forward_single, unpack_params
 
 __all__ = [
@@ -88,6 +90,24 @@ def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(probs[0] <= rng.random())
 
 
+def _log_softmax2(logits: np.ndarray) -> np.ndarray:
+    """loss.log_softmax of a two-entry logit vector with less dispatch.
+
+    Bit for bit the same, except that a NaN may carry the other sign bit
+    (numpy's maximum-reduce sets it by position). Why the rest matches:
+    without a NaN logit the comparison picks the maximum (for 0.0 against
+    -0.0 either one, which changes no result); with one, every entry is NaN
+    on both paths; the add-reduce of two entries is e0 + e1 (exp never
+    returns -0.0); and a ufunc gives the same result on a scalar as on a
+    one-entry array. No output reads a NaN's sign: sample_categorical picks
+    action 1 for any NaN, and collect_rollout rejects non-finite logits.
+    """
+    z0, z1 = logits
+    shifted = logits - (z0 if z0 >= z1 else z1)
+    e0, e1 = np.exp(shifted)
+    return shifted - np.log(e0 + e1)
+
+
 def _policy_step(unpacked, state: CartPoleState, rng: np.random.Generator):
     """One environment step under the policy, shared by collect_rollout and evaluate.
 
@@ -97,7 +117,7 @@ def _policy_step(unpacked, state: CartPoleState, rng: np.random.Generator):
     """
     obs = state.as_obs()
     logits, value = forward_single(unpacked, obs)
-    log_p = log_softmax(logits)
+    log_p = _log_softmax2(logits)
     action = sample_categorical(rng, np.exp(log_p))
     return step(state, action), obs, action, log_p[action], logits, value
 

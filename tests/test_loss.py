@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,34 @@ def test_loss_rejects_non_finite(name):
     with pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
         loss_output_gradients(outputs, np.array([0]), inputs["old_log_probs"],
                               inputs["advantages"], inputs["value_targets"], coeffs())
+
+
+def _two_sample_inputs(**override):
+    inputs = dict(logits=np.array([[0.3, 0.0], [0.1, 0.2]]), values=np.array([0.0, 0.5]),
+                  old_log_probs=np.array([-0.7, -0.6]), advantages=np.array([1.0, -1.0]),
+                  value_targets=np.array([0.0, 0.2]))
+    inputs.update(override)
+    outputs = NetworkOutput(logits=inputs.pop("logits"), values=inputs.pop("values"))
+    return outputs, inputs
+
+
+def test_loss_rejects_opposite_infinities_without_warning():
+    outputs, inputs = _two_sample_inputs(advantages=np.array([np.inf, -np.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite entries in advantages$"):
+            loss_output_gradients(outputs, np.array([0, 1]), coeffs=coeffs(), **inputs)
+
+
+def test_loss_accepts_finite_inputs_whose_sum_overflows_without_warning():
+    outputs, inputs = _two_sample_inputs(logits=np.full((2, 2), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        breakdown, d_logits, d_values = loss_output_gradients(
+            outputs, np.array([0, 1]), coeffs=coeffs(), **inputs
+        )
+    assert math.isfinite(breakdown.total)
+    assert np.isfinite(d_logits).all() and np.isfinite(d_values).all()
 
 
 def test_value_partial_matches_hand_derivative():
@@ -325,6 +354,22 @@ def test_ppo_update_diverges_on_nan_buffer():
                    rng.standard_normal(64), rng.standard_normal(64),
                    coeffs(), epochs=1, minibatch_size=32, lr=1e-3,
                    rng=np.random.default_rng(0))
+
+
+def test_ppo_update_diverges_on_non_finite_gradient(monkeypatch):
+    rng = np.random.default_rng(9)
+    cfg, params, buffer = _synthetic_buffer(rng)
+
+    def nan_backprop(*args, **kwargs):
+        grads = backprop(*args, **kwargs)
+        grads[3] = np.nan
+        return grads
+
+    monkeypatch.setattr(axppo.loss, "backprop", nan_backprop)
+    with pytest.raises(TrainingDiverged, match="^non-finite gradient during ppo update$"):
+        ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
+                   rng.standard_normal(64), rng.standard_normal(64), coeffs(), epochs=1,
+                   minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("name", ["advantages", "value_targets", "buffer.log_probs"])

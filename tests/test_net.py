@@ -105,6 +105,21 @@ def test_forward_single_matches_batch():
     assert value == pytest.approx(out.values[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_forward_single_matches_plain_formula_bitwise(seed):
+    # guards the np.dot and in-place forms against the plain a @ w + b on the BLAS numpy uses
+    cfg = NetworkConfig(obs_dim=4, hidden_sizes=(64, 64), action_count=2)
+    rng = np.random.default_rng(seed)
+    unpacked = unpack_params(init_params(cfg, rng) + 0.1 * rng.standard_normal(cfg.param_count),
+                             cfg)
+    (w0, b0), (w1, b1), (w_pi, b_pi), (w_v, b_v) = unpacked
+    for obs in rng.standard_normal((1000, 4)) * np.array([1.0, 2.0, 0.2, 2.0]):
+        a = np.tanh(np.tanh(obs @ w0 + b0) @ w1 + b1)
+        logits, value = forward_single(unpacked, obs)
+        assert logits.tobytes() == (a @ w_pi + b_pi).tobytes()
+        assert value == float(a @ w_v[:, 0] + b_v[0])
+
+
 def test_forward_dimension_mismatch():
     with pytest.raises(ValueError):
         forward(TOY_PARAMS, TOY_CONFIG, np.zeros((3, 2)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import axppo.rollout
 from axppo.cartpole import CartPoleState, StepResult, reset
-from axppo.loss import TrainingDiverged
+from axppo.loss import TrainingDiverged, log_softmax
 from axppo.net import NetworkConfig, init_params
 from axppo.rollout import (
     EnvCursor,
@@ -289,3 +289,30 @@ def test_two_action_sampler_matches_clamped_searchsorted(p0, p1, u):
     rng = FixedUniform(u)
     assert sample_categorical(rng, probs) == searchsorted_rule(probs, u)
     assert rng.draws == 1
+
+
+def assert_log_softmax2_matches(logits):
+    """Bitwise equal wherever log_softmax is not NaN; NaN (of either sign) in the same entries."""
+    with np.errstate(all="ignore"):  # inf - inf and the like are inputs here
+        expected = log_softmax(logits)
+        got = axppo.rollout._log_softmax2(logits)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan), logits
+    assert got[~nan].tobytes() == expected[~nan].tobytes(), logits
+
+
+EXTREME = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5e-324, 1.0)
+
+
+@pytest.mark.parametrize("z0", EXTREME)
+def test_two_action_log_softmax_matches_on_extreme_logits(z0):
+    for z1 in EXTREME:
+        assert_log_softmax2_matches(np.array([z0, z1]))
+
+
+@given(z0=st.floats(width=64), z1=st.floats(width=64))
+@example(z0=0.3, z1=0.3)
+@example(z0=0.0, z1=-800.0)  # the smaller probability underflows to 0
+@example(z0=-1.0, z1=-1.0 + 2**-52)
+def test_two_action_log_softmax_matches_log_softmax(z0, z1):
+    assert_log_softmax2_matches(np.array([z0, z1]))
