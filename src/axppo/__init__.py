@@ -12,8 +12,6 @@ from .loss import (
     LossBreakdown,
     LossCoefficients,
     TrainingDiverged,
-    action_log_prob,
-    categorical_entropy,
     loss_breakdown,
     loss_output_gradients,
     ppo_update,
@@ -27,15 +25,8 @@ from .net import (
     load_checkpoint,
     save_checkpoint,
 )
-from .optim import AdamState, adam_step, finite_diff_gradient, init_adam_state
-from .rollout import (
-    EnvCursor,
-    EpisodeStats,
-    RolloutBuffer,
-    batch_mean_return,
-    collect_rollout,
-    compute_gae,
-)
+from .optim import AdamState, adam_step, init_adam_state
+from .rollout import RolloutBuffer, collect_rollout, compute_gae
 from .sweep import RunResult, SweepSpec, render_results, run_sweep
 from .train import EvalReport, TrainConfig, TrainResult, UpdateRecord, evaluate, train
 

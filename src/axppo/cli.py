@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="environment steps to train for (default: 60000)")
     p_train.add_argument("--out", type=Path, default=Path("runs/train"),
                          help="output directory for log.csv and checkpoint.txt")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, settings=train_config_from_args)
 
     p_sweep = sub.add_parser("sweep", help="run the full coefficient x tau grid")
     p_sweep.add_argument("--coefs", type=_float_list,
@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="environment steps per run (default: 60000)")
     p_sweep.add_argument("--no-standard", action="store_true",
                          help="skip the standard-PPO rows of the grid")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, settings=sweep_spec_from_args)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p_eval.add_argument("--checkpoint", type=Path, required=True,
@@ -85,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--episodes", type=int, default=20,
                         help="evaluation episodes (default: 20)")
     p_eval.add_argument("--seed", type=_seed, default=1, help="evaluation seed (default: 1)")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval,
+                        settings=lambda ns: TrainConfig(eval_episodes=ns.episodes))
     return parser
 
 
@@ -112,8 +113,7 @@ def sweep_spec_from_args(ns: argparse.Namespace) -> SweepSpec:
     )
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    config = train_config_from_args(ns)
+def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
     out: Path = ns.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -137,8 +137,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    spec = sweep_spec_from_args(ns)
+def cmd_sweep(ns: argparse.Namespace, spec: SweepSpec) -> int:
     results = run_sweep(spec)
     ok = [r for r in results if not r.diverged]
     print(f"{len(ok)}/{len(results)} runs completed")
@@ -147,13 +146,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_eval(ns: argparse.Namespace) -> int:
+def cmd_eval(ns: argparse.Namespace, config: TrainConfig) -> int:
     try:
         net_config, params = load_checkpoint(ns.checkpoint)
     except (OSError, ValueError) as exc:
         print(f"cannot load checkpoint: {exc}")
         return 1
-    config = TrainConfig(eval_episodes=ns.episodes)
     if net_config != config.net_config():
         print(f"checkpoint architecture {net_config} is not the CartPole actor-critic")
         return 1
@@ -166,7 +164,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    return ns.func(ns)
+    try:
+        settings = ns.settings(ns)
+    except ValueError as exc:  # a TrainConfig or SweepSpec rule; errors while running propagate
+        parser.error(f"{ns.command}: {exc}")
+    return ns.func(ns, settings)
 
 
 if __name__ == "__main__":

@@ -34,8 +34,6 @@ __all__ = [
     "LossCoefficients",
     "LossBreakdown",
     "log_softmax",
-    "categorical_entropy",
-    "action_log_prob",
     "loss_breakdown",
     "loss_output_gradients",
     "ppo_update",
@@ -87,22 +85,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     # the ufunc reductions behind .max/.sum, called without the methods' Python wrappers
     shifted = logits - np.maximum.reduce(logits, axis=axis, keepdims=True)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def categorical_entropy(logits: np.ndarray) -> float | np.ndarray:
-    """Entropy -sum p ln p of softmax(logits), over the last axis."""
-    log_p = log_softmax(logits)
-    p = np.exp(log_p)
-    h = -np.sum(p * log_p, axis=-1)
-    return float(h) if h.ndim == 0 else h
-
-
-def action_log_prob(logits: np.ndarray, action: int) -> float:
-    """log softmax(logits)[action] for a single sample."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= action < logits.shape[-1]:
-        raise ValueError(f"action {action} out of range for {logits.shape[-1]} actions")
-    return float(log_softmax(logits)[action])
 
 
 def loss_output_gradients(
@@ -228,7 +210,7 @@ def ppo_update(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    horizon = buffer.horizon
+    horizon = len(buffer.rewards)
     if horizon % minibatch_size != 0:
         raise ValueError(f"minibatch_size {minibatch_size} must divide horizon {horizon}")
     advantages = np.asarray(advantages, dtype=np.float64)

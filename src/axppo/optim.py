@@ -1,4 +1,4 @@
-"""Adam on flat parameter vectors, plus a central-difference gradient oracle.
+"""Adam on flat parameter vectors.
 
 adam_step rejects a non-finite gradient with a ValueError. It is the only
 check of the gradient in training: ppo_update turns that error (a private
@@ -9,11 +9,10 @@ TrainingDiverged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["AdamState", "init_adam_state", "adam_step", "finite_diff_gradient"]
+__all__ = ["AdamState", "init_adam_state", "adam_step"]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -79,27 +78,3 @@ def adam_step(
     np.subtract(params, new_params, out=new_params)
     return new_params, AdamState(first_moment=m, second_moment=v, step_count=t)
 
-
-def finite_diff_gradient(
-    loss_fn: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central differences (f(x + h e_i) - f(x - h e_i)) / (2h) per coordinate.
-
-    loss_fn must be pure and deterministic; this is the independent oracle the
-    analytic backprop path is checked against.
-    """
-    if h <= 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
-    work = np.array(params, dtype=np.float64, copy=True)
-    grad = np.empty_like(work)
-    for i in range(work.shape[0]):
-        orig = work[i]
-        work[i] = orig + h
-        f_plus = loss_fn(work)
-        work[i] = orig - h
-        f_minus = loss_fn(work)
-        work[i] = orig
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise RuntimeError(f"non-finite loss evaluation at coordinate {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad

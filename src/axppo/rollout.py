@@ -2,8 +2,8 @@
 
 A rollout always spans exactly `horizon` environment steps; episodes are
 concatenated and the environment resets inline at episode boundaries. The
-cursor returned by collect_rollout carries the in-progress episode (state and
-accumulated return) into the next rollout.
+cursor, a (state, running_return) tuple that collect_rollout takes and
+returns, carries the in-progress episode into the next rollout.
 
 Bootstrapping distinguishes the two episode endings: termination (pole fell,
 cart out of bounds) masks the successor value to zero, while truncation (the
@@ -23,7 +23,6 @@ network outputs for non-finite values once per rollout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,22 +30,7 @@ from .cartpole import CartPoleState, reset, step
 from .loss import TrainingDiverged
 from .net import NetworkConfig, forward_single, unpack_params
 
-__all__ = [
-    "EnvCursor",
-    "RolloutBuffer",
-    "EpisodeStats",
-    "sample_categorical",
-    "collect_rollout",
-    "compute_gae",
-    "batch_mean_return",
-]
-
-
-class EnvCursor(NamedTuple):
-    """Where collection left off: current state and the in-progress episode return."""
-
-    state: CartPoleState
-    running_return: float
+__all__ = ["RolloutBuffer", "sample_categorical", "collect_rollout", "compute_gae"]
 
 
 @dataclass(frozen=True)
@@ -55,7 +39,8 @@ class RolloutBuffer:
 
     next_values[t] holds V(s_{t+1}) under the bootstrap rules above: the next
     row's value inside an episode, the post-truncation state's value on
-    truncation, 0.0 on termination, and the bootstrap value at the buffer end.
+    truncation, 0.0 on termination, and at the buffer end of an unfinished
+    episode the value of the state the next rollout starts from.
     """
 
     obs: np.ndarray
@@ -66,19 +51,6 @@ class RolloutBuffer:
     terminated: np.ndarray
     truncated: np.ndarray
     next_values: np.ndarray
-    bootstrap_value: float
-    horizon: int
-
-
-@dataclass(frozen=True)
-class EpisodeStats:
-    """Undiscounted returns of the episodes that finished during one rollout."""
-
-    completed_returns: tuple[float, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.completed_returns)
 
 
 def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -125,16 +97,18 @@ def _policy_step(unpacked, state: CartPoleState, rng: np.random.Generator):
 def collect_rollout(
     params: np.ndarray,
     config: NetworkConfig,
-    cursor: EnvCursor,
+    cursor: tuple[CartPoleState, float],
     horizon: int,
     *,
     action_rng: np.random.Generator,
     env_rng: np.random.Generator,
-) -> tuple[RolloutBuffer, EpisodeStats, EnvCursor]:
+) -> tuple[RolloutBuffer, tuple[float, ...], tuple[CartPoleState, float]]:
     """Run the current policy for exactly `horizon` steps, resetting inline.
 
-    Action sampling draws from `action_rng`; episode resets draw from
-    `env_rng`, so the two randomness streams stay independent.
+    Returns (buffer, the undiscounted returns of the episodes that finished,
+    the cursor to continue from). Action sampling draws from `action_rng`;
+    episode resets draw from `env_rng`, so the two randomness streams stay
+    independent.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -177,13 +151,8 @@ def collect_rollout(
     for t, v in truncation_values.items():
         next_values[t] = v
 
-    if terminated[-1]:
-        bootstrap_value = 0.0
-    elif truncated[-1]:
-        bootstrap_value = next_values[-1]
-    else:
-        bootstrap_value = forward_single(unpacked, state.as_obs())[1]
-        next_values[-1] = bootstrap_value
+    if not (terminated[-1] or truncated[-1]):
+        next_values[-1] = forward_single(unpacked, state.as_obs())[1]
 
     buffer = RolloutBuffer(
         obs=np.array(obs),
@@ -194,10 +163,8 @@ def collect_rollout(
         terminated=terminated,
         truncated=truncated,
         next_values=next_values,
-        bootstrap_value=bootstrap_value,
-        horizon=horizon,
     )
-    return buffer, EpisodeStats(completed_returns=tuple(completed)), EnvCursor(state, running_return)
+    return buffer, tuple(completed), (state, running_return)
 
 
 def compute_gae(
@@ -216,16 +183,10 @@ def compute_gae(
     deltas = buffer.rewards + gamma * buffer.next_values * not_terminated - buffer.values
     done = buffer.terminated | buffer.truncated
 
-    advantages = np.empty(buffer.horizon)
+    horizon = len(buffer.rewards)
+    advantages = np.empty(horizon)
     acc = 0.0
-    for t in range(buffer.horizon - 1, -1, -1):
+    for t in range(horizon - 1, -1, -1):
         acc = deltas[t] + (0.0 if done[t] else gamma * lam * acc)
         advantages[t] = acc
     return advantages, advantages + buffer.values
-
-
-def batch_mean_return(stats: EpisodeStats, fallback: float) -> float:
-    """Mean completed-episode return of this rollout, or the carry-forward fallback."""
-    if stats.count >= 1:
-        return float(np.mean(stats.completed_returns))
-    return float(fallback)

@@ -64,6 +64,13 @@ class SweepSpec:
             raise ValueError(f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if not self.include_standard and not any(c > 0.0 for c in self.coefficient_grid):
+            raise ValueError("the grid plans no runs: adaptive cells need a coefficient > 0")
+        # every run builds a TrainConfig from these; reject bad values before any run starts
+        TrainConfig(
+            total_env_steps=self.total_env_steps, seed=self.base_seed,
+            eval_episodes=self.eval_episodes,
+        )
 
 
 @dataclass(frozen=True)

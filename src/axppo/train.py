@@ -25,13 +25,7 @@ from .cartpole import reset
 from .loss import LossBreakdown, LossCoefficients, TrainingDiverged, ppo_update
 from .net import NetworkConfig, init_params, unpack_params
 from .optim import init_adam_state
-from .rollout import (
-    EnvCursor,
-    _policy_step,
-    batch_mean_return,
-    collect_rollout,
-    compute_gae,
-)
+from .rollout import _policy_step, collect_rollout, compute_gae
 
 __all__ = [
     "TrainConfig",
@@ -147,18 +141,18 @@ def train(config: TrainConfig) -> TrainResult:
     params = init_params(net, init_rng)
     adam_state = init_adam_state(net.param_count)
     window = ReturnWindow(capacity=config.tau)
-    cursor = EnvCursor(reset(env_rng), 0.0)
-    prev_mean = 0.0
+    cursor = (reset(env_rng), 0.0)
+    mean_ret = 0.0
 
     records: list[UpdateRecord] = []
     for t in range(config.num_updates):
         try:
-            buffer, stats, cursor = collect_rollout(
+            buffer, completed, cursor = collect_rollout(
                 params, net, cursor, config.horizon,
                 action_rng=action_rng, env_rng=env_rng,
             )
-            mean_ret = batch_mean_return(stats, prev_mean)
-            prev_mean = mean_ret
+            # a rollout that finishes no episode carries the previous mean forward
+            mean_ret = float(np.mean(completed)) if completed else mean_ret
             window = push_batch_return(window, mean_ret)
             g = g_recent(window)
             c2_eff = effective_entropy_coef(config.mode, window, config.c2_base)

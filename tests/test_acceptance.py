@@ -15,12 +15,12 @@ import pytest
 
 from axppo.adaptive import ReturnWindow, g_recent, push_batch_return
 from axppo.cartpole import CartPoleState, step
-from axppo.loss import categorical_entropy, action_log_prob
 from axppo.net import NetworkConfig, init_params
-from axppo.rollout import collect_rollout, compute_gae, EnvCursor
+from axppo.rollout import collect_rollout, compute_gae
 from axppo.sweep import RunResult, SweepSpec, render_results, run_sweep
 from axppo.train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train
 
+from oracles import action_log_prob, categorical_entropy
 from test_loss import gradcheck_max_rel_error
 from test_rollout import make_buffer
 
@@ -141,10 +141,10 @@ def test_criterion_7_property_suite():
     params = init_params(net, np.random.default_rng(1))
     from axppo.cartpole import reset
     buffer, _, _ = collect_rollout(
-        params, net, EnvCursor(reset(np.random.default_rng(2)), 0.0), 64,
+        params, net, (reset(np.random.default_rng(2)), 0.0), 64,
         action_rng=np.random.default_rng(3), env_rng=np.random.default_rng(4),
     )
-    assert buffer.horizon == 64 and buffer.obs.shape[0] == 64
+    assert len(buffer.rewards) == 64 and buffer.obs.shape[0] == 64
 
     # determinism of a run and of a sweep under fixed seeds
     cfg = TrainConfig(total_env_steps=512, seed=5)

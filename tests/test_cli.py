@@ -53,6 +53,14 @@ def test_sweep_flag_parsing():
     ["sweep", "--taus", "1,two"],
     ["train", "--frobnicate"],
     [],
+    # settings that parse but break a TrainConfig or SweepSpec rule
+    ["train", "--tau", "0"],
+    ["train", "--total-steps", "100"],
+    ["sweep", "--seeds", "0"],
+    ["sweep", "--jobs", "0"],
+    ["sweep", "--total-steps", "100"],
+    ["sweep", "--no-standard", "--coefs", "0"],
+    ["eval", "--checkpoint", "missing.ckpt", "--episodes", "0"],
 ])
 def test_usage_errors_exit_nonzero(argv):
     with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 
 from axppo.cartpole import CartPoleState
-from axppo.rollout import EnvCursor, RolloutBuffer, collect_rollout
+from axppo.rollout import RolloutBuffer, collect_rollout
 from axppo.train import SEED_OFFSET_EVAL, TrainConfig, UpdateRecord, evaluate, train
 
 RUNS = {
@@ -79,7 +79,7 @@ EXPECTED_ROLLOUTS = [
 
 # the policy whose per-step path is digested, and where its rollouts start
 POLICY_RUN = "adaptive-0.8"
-ROLLOUT_START = EnvCursor(CartPoleState(0.01, 0.0, 0.01, 0.0, elapsed_steps=490), 490.0)
+ROLLOUT_START = (CartPoleState(0.01, 0.0, 0.01, 0.0, elapsed_steps=490), 490.0)
 ROLLOUT_HORIZON = 256
 
 
@@ -96,17 +96,17 @@ def params_digest(params: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(params, dtype="<f8").tobytes()).hexdigest()
 
 
-def rollout_digest(buffer: RolloutBuffer, completed: tuple, cursor: EnvCursor) -> str:
+def rollout_digest(buffer: RolloutBuffer, completed: tuple, cursor: tuple) -> str:
     h = hashlib.sha256()
     for name in ("obs", "actions", "log_probs", "values", "rewards",
                  "terminated", "truncated", "next_values"):
         arr = getattr(buffer, name)
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
         h.update(np.ascontiguousarray(arr).tobytes())
-    s = cursor.state
-    floats = (buffer.bootstrap_value, *completed, s.x, s.x_dot, s.theta, s.theta_dot,
-              cursor.running_return)
-    h.update(f"{buffer.horizon},{s.elapsed_steps},".encode())
+    s, running_return = cursor
+    floats = (buffer.next_values[-1], *completed, s.x, s.x_dot, s.theta, s.theta_dot,
+              running_return)
+    h.update(f"{len(buffer.rewards)},{s.elapsed_steps},".encode())
     h.update(",".join(repr(float(v)) for v in floats).encode())
     return h.hexdigest()
 
@@ -139,11 +139,11 @@ def rollout_digests() -> list[str]:
     cursor = ROLLOUT_START
     out = []
     for _ in range(3):
-        buffer, stats, cursor = collect_rollout(
+        buffer, completed, cursor = collect_rollout(
             trained(POLICY_RUN).params, config.net_config(), cursor, ROLLOUT_HORIZON,
             action_rng=action_rng, env_rng=env_rng,
         )
-        out.append(rollout_digest(buffer, stats.completed_returns, cursor))
+        out.append(rollout_digest(buffer, completed, cursor))
     return out
 
 

@@ -11,16 +11,16 @@ from axppo.loss import (
     LossBreakdown,
     LossCoefficients,
     TrainingDiverged,
-    action_log_prob,
-    categorical_entropy,
     log_softmax,
     loss_breakdown,
     loss_output_gradients,
     ppo_update,
 )
 from axppo.net import NetworkConfig, NetworkOutput, backprop, forward, init_params
-from axppo.optim import finite_diff_gradient, init_adam_state
+from axppo.optim import init_adam_state
 from axppo.rollout import RolloutBuffer
+
+from oracles import action_log_prob, categorical_entropy, finite_diff_gradient
 
 # |logit| <= 100 keeps z + shift exactly representable at the 1e-12 tolerance
 finite_logits = st.lists(
@@ -272,8 +272,6 @@ def _synthetic_buffer(rng, horizon=64, obs_dim=4):
         terminated=np.zeros(horizon, dtype=bool),
         truncated=np.zeros(horizon, dtype=bool),
         next_values=np.zeros(horizon),
-        bootstrap_value=0.0,
-        horizon=horizon,
     )
 
 

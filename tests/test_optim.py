@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from axppo.optim import AdamState, adam_step, finite_diff_gradient, init_adam_state
+from axppo.optim import AdamState, adam_step, init_adam_state
+
+from oracles import finite_diff_gradient
 
 
 def test_zero_gradient_is_identity():

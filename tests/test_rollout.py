@@ -7,21 +7,13 @@ import axppo.rollout
 from axppo.cartpole import CartPoleState, StepResult, reset
 from axppo.loss import TrainingDiverged, log_softmax
 from axppo.net import NetworkConfig, init_params
-from axppo.rollout import (
-    EnvCursor,
-    EpisodeStats,
-    batch_mean_return,
-    collect_rollout,
-    compute_gae,
-    RolloutBuffer,
-    sample_categorical,
-)
+from axppo.rollout import RolloutBuffer, collect_rollout, compute_gae, sample_categorical
 
 NET = NetworkConfig(obs_dim=4, hidden_sizes=(8,), action_count=2)
 
 
 def fresh_cursor(seed=0):
-    return EnvCursor(reset(np.random.default_rng(seed)), 0.0)
+    return (reset(np.random.default_rng(seed)), 0.0)
 
 
 def collect(params, horizon, seed=0):
@@ -51,14 +43,13 @@ def use_stub_env(monkeypatch, step_fn=stub_step):
 
 def test_buffer_length_is_exactly_horizon():
     params = init_params(NET, np.random.default_rng(1))
-    buffer, stats, cursor = collect(params, 256)
-    assert buffer.horizon == 256
+    buffer, completed, cursor = collect(params, 256)
     for arr in (buffer.obs, buffer.actions, buffer.log_probs, buffer.values,
                 buffer.rewards, buffer.terminated, buffer.truncated, buffer.next_values):
         assert arr.shape[0] == 256
     # a random policy finishes plenty of episodes in 256 steps
-    assert stats.count >= 1
-    assert all(1.0 <= r <= 500.0 for r in stats.completed_returns)
+    assert len(completed) >= 1
+    assert all(1.0 <= r <= 500.0 for r in completed)
     assert np.all(buffer.log_probs <= 0.0)
     assert np.all(buffer.rewards == 1.0)
 
@@ -78,7 +69,7 @@ def test_collect_is_deterministic():
     assert np.array_equal(b1.obs, b2.obs)
     assert np.array_equal(b1.actions, b2.actions)
     assert np.array_equal(b1.log_probs, b2.log_probs)
-    assert b1.bootstrap_value == b2.bootstrap_value
+    assert np.array_equal(b1.next_values, b2.next_values)
     assert s1 == s2
     assert c1 == c2
 
@@ -86,8 +77,8 @@ def test_collect_is_deterministic():
 def test_stub_environment_returns(monkeypatch):
     use_stub_env(monkeypatch)
     params = init_params(NET, np.random.default_rng(1))
-    buffer, stats, _ = collect(params, 15)
-    assert stats.completed_returns == (5.0, 5.0, 5.0)
+    buffer, completed, _ = collect(params, 15)
+    assert completed == (5.0, 5.0, 5.0)
     assert buffer.terminated.sum() == 3
     # termination masks the stored next value
     assert np.all(buffer.next_values[buffer.terminated] == 0.0)
@@ -96,17 +87,17 @@ def test_stub_environment_returns(monkeypatch):
 def test_cursor_carries_running_return_across_rollouts(monkeypatch):
     use_stub_env(monkeypatch)
     params = init_params(NET, np.random.default_rng(1))
-    cursor = EnvCursor(stub_reset(None), 0.0)
+    cursor = (stub_reset(None), 0.0)
     all_returns = []
     for _ in range(4):
-        _, stats, cursor = collect_rollout(
+        _, completed, cursor = collect_rollout(
             params, NET, cursor, 7,
             action_rng=np.random.default_rng(0), env_rng=np.random.default_rng(1),
         )
-        all_returns.extend(stats.completed_returns)
+        all_returns.extend(completed)
     # 28 steps of 5-step episodes: 5 completed, partial episode in the cursor
     assert all_returns == [5.0] * 5
-    assert cursor.running_return == 3.0
+    assert cursor[1] == 3.0
 
 
 def test_episode_returns_bounded_by_env_steps():
@@ -116,10 +107,10 @@ def test_episode_returns_bounded_by_env_steps():
     total = 0.0
     n_rollouts, horizon = 10, 128
     for _ in range(n_rollouts):
-        _, stats, cursor = collect_rollout(
+        _, completed, cursor = collect_rollout(
             params, NET, cursor, horizon, action_rng=action_rng, env_rng=env_rng
         )
-        total += sum(stats.completed_returns)
+        total += sum(completed)
     assert total <= n_rollouts * horizon
 
 
@@ -131,16 +122,16 @@ def test_truncation_bootstraps_with_post_truncation_value(monkeypatch):
 
     use_stub_env(monkeypatch, trunc_step)
     params = init_params(NET, np.random.default_rng(1))
-    buffer, stats, _ = collect(params, 6)
+    buffer, completed, _ = collect(params, 6)
     assert list(buffer.truncated) == [False, False, False, True, False, False]
     from axppo.net import forward_single, unpack_params
     post_trunc_value = forward_single(unpack_params(params, NET),
                                       np.array([0.5, 0.0, 0.0, 0.0]))[1]
     assert buffer.next_values[3] == pytest.approx(post_trunc_value, abs=1e-15)
-    assert stats.completed_returns == (4.0,)
+    assert completed == (4.0,)
 
 
-def make_buffer(rewards, values, next_values, terminated, truncated, bootstrap=0.0):
+def make_buffer(rewards, values, next_values, terminated, truncated):
     h = len(rewards)
     return RolloutBuffer(
         obs=np.zeros((h, 4)),
@@ -151,8 +142,6 @@ def make_buffer(rewards, values, next_values, terminated, truncated, bootstrap=0
         terminated=np.asarray(terminated, dtype=bool),
         truncated=np.asarray(truncated, dtype=bool),
         next_values=np.asarray(next_values, dtype=float),
-        bootstrap_value=bootstrap,
-        horizon=h,
     )
 
 
@@ -210,12 +199,6 @@ def test_gae_validates_ranges():
     buffer = make_buffer([1.0], [0.0], [0.0], [True], [False])
     with pytest.raises(ValueError):
         compute_gae(buffer, gamma=1.5, lam=0.5)
-
-
-def test_batch_mean_return():
-    assert batch_mean_return(EpisodeStats((100.0, 200.0, 300.0)), 0.0) == 200.0
-    assert batch_mean_return(EpisodeStats(()), 137.5) == 137.5
-    assert batch_mean_return(EpisodeStats((500.0,)), 0.0) == 500.0
 
 
 def test_collect_rejects_bad_horizon():

@@ -185,6 +185,19 @@ def test_spec_validation():
         SweepSpec(parallelism=0)
 
 
+def test_spec_rejects_grid_that_plans_no_runs():
+    with pytest.raises(ValueError, match="plans no runs"):
+        SweepSpec(coefficient_grid=(0.0,), include_standard=False)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(total_env_steps=100), dict(eval_episodes=0), dict(base_seed=-1),
+])
+def test_spec_rejects_run_settings_every_run_would_reject(bad):
+    with pytest.raises(ValueError):
+        SweepSpec(**bad)
+
+
 @pytest.mark.parametrize("grids", [
     dict(tau_grid=(1, 10, 1)),
     dict(coefficient_grid=(0.1, 0.1)),

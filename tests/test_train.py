@@ -79,6 +79,21 @@ def test_g_recent_tracks_window_of_batch_returns():
         assert rec.g_recent == pytest.approx(np.mean(window) / 500.0, abs=1e-12)
 
 
+def test_batch_mean_return_carries_forward_when_no_episode_finishes(monkeypatch):
+    # no real 256-step rollout finishes zero episodes, so the reported returns are chosen
+    real_collect = axppo.rollout.collect_rollout
+    reported = iter([(100.0, 200.0, 300.0), (), (500.0,)])
+
+    def collect_rollout(*args, **kwargs):
+        buffer, _, cursor = real_collect(*args, **kwargs)
+        return buffer, next(reported), cursor
+
+    train_mod = importlib.import_module("axppo.train")
+    monkeypatch.setattr(train_mod, "collect_rollout", collect_rollout)
+    result = train(TrainConfig(total_env_steps=768))
+    assert [r.batch_mean_return for r in result.records] == [200.0, 200.0, 500.0]
+
+
 def test_zero_coefficient_modes_identical_bitwise():
     base = dict(c2_base=0.0, tau=5, total_env_steps=1024, seed=31)
     r_std = train(TrainConfig(mode="standard", **base))
