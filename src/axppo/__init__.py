@@ -10,7 +10,6 @@ from .adaptive import ReturnWindow, effective_entropy_coef, g_recent, push_batch
 from .cartpole import CartPoleState, StepResult, reset, step
 from .loss import (
     LossBreakdown,
-    LossCoefficients,
     TrainingDiverged,
     loss_breakdown,
     loss_output_gradients,

@@ -3,10 +3,11 @@
 Sign convention: the surrogate objective is maximized, so the scalar being
 minimized is
 
-    total = -clip_term + c1 * value_term - c2_effective * entropy_term
+    total = -clip_term + VALUE_COEF * value_term - c2_effective * entropy_term
 
-where every term is a minibatch mean. c2_effective is whatever coefficient
-applies this update: the configured value in standard mode, or the
+where every term is a minibatch mean and the clip term clips the probability
+ratio to [1 - CLIP_EPSILON, 1 + CLIP_EPSILON]. c2_effective is whatever
+coefficient applies this update: the configured value in standard mode, or the
 return-scaled value in adaptive mode. It is frozen for the whole update.
 
 Finiteness checks. loss_output_gradients rejects a NaN or infinite input with
@@ -31,7 +32,6 @@ from .optim import AdamState, _NonFiniteGradient, adam_step
 
 __all__ = [
     "TrainingDiverged",
-    "LossCoefficients",
     "LossBreakdown",
     "log_softmax",
     "loss_breakdown",
@@ -46,6 +46,10 @@ ADV_NORM_EPS = 1e-8
 # 2.0 keeps small coefficients harmless while large ones still dominate.
 ADV_TARGET_STD = 2.0
 
+# The fixed PPO recipe's clip range and value-loss weight.
+CLIP_EPSILON = 0.2
+VALUE_COEF = 0.25
+
 
 class TrainingDiverged(RuntimeError):
     """Raised when a rollout or update produces non-finite numbers."""
@@ -54,21 +58,6 @@ class TrainingDiverged(RuntimeError):
 class _NonFiniteInput(ValueError):
     """loss_output_gradients' error for a NaN or infinite input; ppo_update turns it into
     TrainingDiverged."""
-
-
-@dataclass(frozen=True)
-class LossCoefficients:
-    """Weights applied this update; c2_effective is what actually multiplies the entropy."""
-
-    c1: float
-    clip_epsilon: float
-    c2_effective: float
-
-    def __post_init__(self):
-        if self.c1 < 0.0 or self.c2_effective < 0.0:
-            raise ValueError("loss coefficients must be >= 0")
-        if self.clip_epsilon <= 0.0:
-            raise ValueError(f"clip_epsilon must be > 0, got {self.clip_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,7 @@ def loss_output_gradients(
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
     value_targets: np.ndarray,
-    coeffs: LossCoefficients,
+    c2_effective: float,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """One loss pass: the minibatch-mean loss terms and their output partials.
 
@@ -111,7 +100,7 @@ def loss_output_gradients(
     Entropy part, always present: dH/dz_j = -p_j (ln p_j + H), so the
     -c2_effective * H term contributes c2_effective * p_j (ln p_j + H).
 
-    Value part: c1 * (V - target).
+    Value part: VALUE_COEF * (V - target).
     """
     logits = np.asarray(outputs.logits, dtype=np.float64)
     values = np.asarray(outputs.values, dtype=np.float64)
@@ -143,7 +132,7 @@ def loss_output_gradients(
     p = np.exp(log_p)
     ratio = np.exp(log_p[rows, actions] - old_log_probs)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - coeffs.clip_epsilon, 1.0 + coeffs.clip_epsilon) * advantages
+    clipped = np.clip(ratio, 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON) * advantages
     value_err = values - value_targets
     entropy = -(p * log_p).sum(axis=-1)
 
@@ -151,15 +140,15 @@ def loss_output_gradients(
     clip_term = float(np.minimum(unclipped, clipped).sum() / n)
     value_term = float(0.5 * ((value_err**2).sum() / n))
     entropy_term = float(entropy.sum() / n)
-    total = -clip_term + coeffs.c1 * value_term - coeffs.c2_effective * entropy_term
+    total = -clip_term + VALUE_COEF * value_term - c2_effective * entropy_term
 
     d_logp = np.where(unclipped <= clipped, -unclipped, 0.0)  # -unclipped == -ratio * A
     one_hot = np.zeros_like(p)
     one_hot[rows, actions] = 1.0
     d_logits = d_logp[:, None] * (one_hot - p)
-    d_logits += coeffs.c2_effective * p * (log_p + entropy[:, None])
+    d_logits += c2_effective * p * (log_p + entropy[:, None])
     d_logits /= n
-    d_values = coeffs.c1 * value_err / n
+    d_values = VALUE_COEF * value_err / n
 
     breakdown = LossBreakdown(
         clip_term=clip_term, value_term=value_term, entropy_term=entropy_term, total=total
@@ -173,11 +162,11 @@ def loss_breakdown(
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
     value_targets: np.ndarray,
-    coeffs: LossCoefficients,
+    c2_effective: float,
 ) -> LossBreakdown:
     """Minibatch-mean loss terms and the assembled scalar being minimized (no partials)."""
     return loss_output_gradients(
-        outputs, actions, old_log_probs, advantages, value_targets, coeffs
+        outputs, actions, old_log_probs, advantages, value_targets, c2_effective
     )[0]
 
 
@@ -188,7 +177,7 @@ def ppo_update(
     buffer,
     advantages: np.ndarray,
     value_targets: np.ndarray,
-    coeffs: LossCoefficients,
+    c2_effective: float,
     *,
     epochs: int,
     minibatch_size: int,
@@ -241,7 +230,8 @@ def ppo_update(
             outputs, trace = forward(params, config, obs_e[mb])
             try:
                 breakdown, d_logits, d_values = loss_output_gradients(
-                    outputs, actions_e[mb], log_probs_e[mb], adv_e[mb], targets_e[mb], coeffs
+                    outputs, actions_e[mb], log_probs_e[mb], adv_e[mb], targets_e[mb],
+                    c2_effective,
                 )
             except _NonFiniteInput as exc:  # only the network output is left unchecked
                 raise TrainingDiverged(f"{exc} during ppo update") from exc

@@ -48,12 +48,12 @@ class SweepSpec:
         object.__setattr__(self, "tau_grid", tuple(int(t) for t in self.tau_grid))
         if not self.coefficient_grid or not self.tau_grid:
             raise ValueError("coefficient and tau grids must be non-empty")
-        if any(c < 0 for c in self.coefficient_grid):
-            raise ValueError("entropy coefficients must be >= 0")
         if any(t < 1 for t in self.tau_grid):
             raise ValueError("tau values must be >= 1")
-        if len(set(self.tau_grid)) != len(self.tau_grid):
-            raise ValueError(f"tau grid holds duplicate values: {self.tau_grid}")
+        # set() also merges 0.0 and -0.0, which print differently
+        for name, grid in (("coefficient", self.coefficient_grid), ("tau", self.tau_grid)):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} grid holds duplicate values: {grid}")
         # log file names and table columns print coefficients with _fmt_num
         if len({_fmt_num(c) for c in self.coefficient_grid}) != len(self.coefficient_grid):
             raise ValueError(
@@ -67,10 +67,11 @@ class SweepSpec:
         if not self.include_standard and not any(c > 0.0 for c in self.coefficient_grid):
             raise ValueError("the grid plans no runs: adaptive cells need a coefficient > 0")
         # every run builds a TrainConfig from these; reject bad values before any run starts
-        TrainConfig(
-            total_env_steps=self.total_env_steps, seed=self.base_seed,
-            eval_episodes=self.eval_episodes,
-        )
+        for c2 in self.coefficient_grid:
+            TrainConfig(
+                c2_base=c2, total_env_steps=self.total_env_steps, seed=self.base_seed,
+                eval_episodes=self.eval_episodes,
+            )
 
 
 @dataclass(frozen=True)

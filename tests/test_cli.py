@@ -1,7 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from axppo.cli import build_parser, main, sweep_spec_from_args, train_config_from_args
+from axppo.loss import TrainingDiverged
 from axppo.net import load_checkpoint, save_checkpoint
 from axppo.train import TrainConfig
 
@@ -86,6 +89,25 @@ def test_train_eval_round_trip(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "mean return" in stdout
     assert "per-episode:" in stdout
+
+
+def test_train_reports_divergence(tmp_path, capsys, monkeypatch):
+    train_mod = importlib.import_module("axppo.train")
+    real_update, calls = train_mod.ppo_update, []
+
+    def flaky_update(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise TrainingDiverged("synthetic blow-up")
+        return real_update(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "ppo_update", flaky_update)
+    out = tmp_path / "run"
+    assert main(["train", "--total-steps", "768", "--out", str(out)]) == 1
+    assert "training diverged after 1 updates: synthetic blow-up" in capsys.readouterr().out
+    assert len((out / "log.csv").read_text().splitlines()) == 1 + 1  # header + one update
+    cfg, params = load_checkpoint(out / "checkpoint.txt")
+    assert params.shape == (cfg.param_count,)
 
 
 def test_sweep_command_end_to_end(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import axppo.loss
 from axppo.loss import (
+    CLIP_EPSILON,
     LossBreakdown,
-    LossCoefficients,
     TrainingDiverged,
     log_softmax,
     loss_breakdown,
@@ -26,10 +26,6 @@ from oracles import action_log_prob, categorical_entropy, finite_diff_gradient
 finite_logits = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=6
 )
-
-
-def coeffs(c1=0.5, c2=0.0, eps=0.2):
-    return LossCoefficients(c1=c1, clip_epsilon=eps, c2_effective=c2)
 
 
 def test_entropy_uniform_two_actions():
@@ -85,13 +81,13 @@ def test_action_log_prob_rejects_out_of_range():
         action_log_prob(np.array([0.0, 0.0]), 2)
 
 
-def surrogate_of_one_sample(ratio, adv, eps):
+def surrogate_of_one_sample(ratio, adv):
     """loss_breakdown's clip_term on a one-sample batch whose probability ratio is `ratio`."""
     # uniform logits give new log-prob ln 0.5, so this old log-prob sets the ratio
     outputs = NetworkOutput(logits=np.array([[0.0, 0.0]]), values=np.array([0.0]))
     old_log_prob = math.log(0.5) - math.log(ratio)
     return loss_breakdown(outputs, np.array([0]), np.array([old_log_prob]), np.array([adv]),
-                          np.array([0.0]), coeffs(eps=eps)).clip_term
+                          np.array([0.0]), 0.0).clip_term
 
 
 @pytest.mark.parametrize("ratio,adv,eps,expected", [
@@ -100,18 +96,19 @@ def surrogate_of_one_sample(ratio, adv, eps):
     (0.5, -1.0, 0.2, -0.8),
 ])
 def test_clipped_surrogate_hand_values(ratio, adv, eps, expected):
-    assert surrogate_of_one_sample(ratio, adv, eps) == pytest.approx(expected, abs=1e-12)
+    assert eps == CLIP_EPSILON  # the clip range the expected values were worked out for
+    assert surrogate_of_one_sample(ratio, adv) == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.floats(min_value=0.801, max_value=1.199),
        st.floats(min_value=-50, max_value=50, allow_nan=False))
 @settings(max_examples=200)
 def test_clip_identity_inside_band(ratio, adv):
-    assert surrogate_of_one_sample(ratio, adv, 0.2) == pytest.approx(ratio * adv, abs=1e-12)
+    assert surrogate_of_one_sample(ratio, adv) == pytest.approx(ratio * adv, abs=1e-12)
 
 
 def test_loss_breakdown_single_sample_assembly():
-    # ratio 1, A=1, V=0, target=1, uniform logits, c1=0.5, c2_eff=0
+    # ratio 1, A=1, V=0, target=1, uniform logits, value coefficient 0.25, c2_eff=0
     outputs = NetworkOutput(logits=np.array([[0.0, 0.0]]), values=np.array([0.0]))
     bd = loss_breakdown(
         outputs,
@@ -119,12 +116,12 @@ def test_loss_breakdown_single_sample_assembly():
         old_log_probs=np.array([math.log(0.5)]),
         advantages=np.array([1.0]),
         value_targets=np.array([1.0]),
-        coeffs=coeffs(c1=0.5, c2=0.0),
+        c2_effective=0.0,
     )
     assert bd.clip_term == pytest.approx(1.0, abs=1e-12)
     assert bd.value_term == pytest.approx(0.5, abs=1e-12)
     assert bd.entropy_term == pytest.approx(math.log(2), abs=1e-12)
-    assert bd.total == pytest.approx(-0.75, abs=1e-12)
+    assert bd.total == pytest.approx(-0.875, abs=1e-12)
 
 
 def test_total_independent_of_entropy_when_coefficient_zero():
@@ -136,11 +133,11 @@ def test_total_independent_of_entropy_when_coefficient_zero():
         advantages=rng.standard_normal(5),
         value_targets=rng.standard_normal(5),
     )
-    bd0 = loss_breakdown(outputs, coeffs=coeffs(c2=0.0), **args)
-    assert bd0.total == pytest.approx(-bd0.clip_term + 0.5 * bd0.value_term, abs=1e-12)
+    bd0 = loss_breakdown(outputs, c2_effective=0.0, **args)
+    assert bd0.total == pytest.approx(-bd0.clip_term + 0.25 * bd0.value_term, abs=1e-12)
     # doubling c2_eff shifts total by exactly -c2_eff * entropy_term
-    bd1 = loss_breakdown(outputs, coeffs=coeffs(c2=0.4), **args)
-    bd2 = loss_breakdown(outputs, coeffs=coeffs(c2=0.8), **args)
+    bd1 = loss_breakdown(outputs, c2_effective=0.4, **args)
+    bd2 = loss_breakdown(outputs, c2_effective=0.8, **args)
     assert bd2.total - bd1.total == pytest.approx(-0.4 * bd1.entropy_term, abs=1e-12)
 
 
@@ -154,7 +151,7 @@ def test_loss_rejects_non_finite(name):
     outputs = NetworkOutput(logits=inputs["logits"], values=inputs["values"])
     with pytest.raises(ValueError, match=f"non-finite entries in {name}$"):
         loss_output_gradients(outputs, np.array([0]), inputs["old_log_probs"],
-                              inputs["advantages"], inputs["value_targets"], coeffs())
+                              inputs["advantages"], inputs["value_targets"], 0.0)
 
 
 def _two_sample_inputs(**override):
@@ -171,7 +168,7 @@ def test_loss_rejects_opposite_infinities_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="non-finite entries in advantages$"):
-            loss_output_gradients(outputs, np.array([0, 1]), coeffs=coeffs(), **inputs)
+            loss_output_gradients(outputs, np.array([0, 1]), c2_effective=0.0, **inputs)
 
 
 def test_loss_accepts_finite_inputs_whose_sum_overflows_without_warning():
@@ -179,7 +176,7 @@ def test_loss_accepts_finite_inputs_whose_sum_overflows_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         breakdown, d_logits, d_values = loss_output_gradients(
-            outputs, np.array([0, 1]), coeffs=coeffs(), **inputs
+            outputs, np.array([0, 1]), c2_effective=0.0, **inputs
         )
     assert math.isfinite(breakdown.total)
     assert np.isfinite(d_logits).all() and np.isfinite(d_values).all()
@@ -192,9 +189,9 @@ def test_value_partial_matches_hand_derivative():
     targets = rng.standard_normal(n)
     _, _, d_values = loss_output_gradients(
         outputs, rng.integers(0, 2, n), np.log(rng.uniform(0.2, 0.8, n)),
-        rng.standard_normal(n), targets, coeffs(c1=0.5),
+        rng.standard_normal(n), targets, 0.0,
     )
-    np.testing.assert_allclose(d_values, 0.5 * (outputs.values - targets) / n, rtol=1e-12)
+    np.testing.assert_allclose(d_values, 0.25 * (outputs.values - targets) / n, rtol=1e-12)
 
 
 def test_clipped_and_binding_sample_has_zero_policy_gradient():
@@ -206,7 +203,7 @@ def test_clipped_and_binding_sample_has_zero_policy_gradient():
     outputs = NetworkOutput(logits=logits, values=np.array([0.0]))
     _, d_logits, _ = loss_output_gradients(
         outputs, np.array([0]), np.array([old_log_prob]), np.array([2.0]),
-        np.array([0.0]), coeffs(c1=0.5, c2=0.0, eps=0.2),
+        np.array([0.0]), 0.0,
     )
     np.testing.assert_allclose(d_logits, np.zeros((1, 2)), atol=1e-15)
 
@@ -225,25 +222,24 @@ def _random_loss_instance(rng):
         advantages=rng.standard_normal(n),
         value_targets=rng.standard_normal(n),
     )
-    cf = LossCoefficients(c1=0.5, clip_epsilon=0.2, c2_effective=float(rng.uniform(0.05, 0.3)))
-    return cfg, params, data, cf
+    return cfg, params, data, float(rng.uniform(0.05, 0.3))
 
 
 def gradcheck_max_rel_error(rng, instances, h=1e-5):
     """Worst relative disagreement between backprop and central differences."""
     worst = 0.0
     for _ in range(instances):
-        cfg, params, data, cf = _random_loss_instance(rng)
+        cfg, params, data, c2 = _random_loss_instance(rng)
 
         def loss_fn(p):
             out, _ = forward(p, cfg, data["obs"])
             return loss_breakdown(out, data["actions"], data["old_log_probs"],
-                                  data["advantages"], data["value_targets"], cf).total
+                                  data["advantages"], data["value_targets"], c2).total
 
         out, trace = forward(params, cfg, data["obs"])
         _, d_logits, d_values = loss_output_gradients(
             out, data["actions"], data["old_log_probs"], data["advantages"],
-            data["value_targets"], cf,
+            data["value_targets"], c2,
         )
         analytic = backprop(cfg, trace, d_logits, d_values)
         numeric = finite_diff_gradient(loss_fn, params, h)
@@ -283,7 +279,7 @@ def test_ppo_update_rejects_epochs_below_one(epochs):
     with pytest.raises(ValueError, match="epochs must be >= 1"):
         ppo_update(
             params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
-            coeffs(c2=0.1), epochs=epochs, minibatch_size=32, lr=1e-3,
+            0.1, epochs=epochs, minibatch_size=32, lr=1e-3,
             rng=np.random.default_rng(0),
         )
 
@@ -307,7 +303,7 @@ def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
     epochs, minibatch_size = 3, 16
     _, _, summary = ppo_update(
         params, cfg, init_adam_state(cfg.param_count), buffer, rng.standard_normal(64),
-        rng.standard_normal(64), coeffs(c2=0.1), epochs=epochs,
+        rng.standard_normal(64), 0.1, epochs=epochs,
         minibatch_size=minibatch_size, lr=1e-3, rng=np.random.default_rng(0),
     )
     assert calls == {"loss_output_gradients": epochs * 64 // minibatch_size,
@@ -322,7 +318,7 @@ def test_ppo_update_decreases_loss_on_fixed_buffer():
         cfg, params, buffer = _synthetic_buffer(rng)
         raw_adv = rng.standard_normal(64)
         targets = rng.standard_normal(64)
-        cf = coeffs(c1=0.5, c2=0.05)
+        c2 = 0.05
         # same normalization ppo_update applies internally
         from axppo.loss import ADV_TARGET_STD
         adv_n = ADV_TARGET_STD * (raw_adv - raw_adv.mean()) / (raw_adv.std() + 1e-8)
@@ -330,12 +326,12 @@ def test_ppo_update_decreases_loss_on_fixed_buffer():
         def total_loss(p):
             out, _ = forward(p, cfg, buffer.obs)
             return loss_breakdown(out, buffer.actions, buffer.log_probs, adv_n,
-                                  targets, cf).total
+                                  targets, c2).total
 
         before = total_loss(params)
         new_params, _, _ = ppo_update(
             params, cfg, init_adam_state(cfg.param_count), buffer, raw_adv, targets,
-            cf, epochs=1, minibatch_size=32, lr=1e-3, rng=np.random.default_rng(seed),
+            c2, epochs=1, minibatch_size=32, lr=1e-3, rng=np.random.default_rng(seed),
         )
         if total_loss(new_params) < before:
             wins += 1
@@ -350,7 +346,7 @@ def test_ppo_update_diverges_on_nan_buffer():
     with pytest.raises(TrainingDiverged):
         ppo_update(bad_params, cfg, init_adam_state(cfg.param_count), buffer,
                    rng.standard_normal(64), rng.standard_normal(64),
-                   coeffs(), epochs=1, minibatch_size=32, lr=1e-3,
+                   0.0, epochs=1, minibatch_size=32, lr=1e-3,
                    rng=np.random.default_rng(0))
 
 
@@ -366,7 +362,7 @@ def test_ppo_update_diverges_on_non_finite_gradient(monkeypatch):
     monkeypatch.setattr(axppo.loss, "backprop", nan_backprop)
     with pytest.raises(TrainingDiverged, match="^non-finite gradient during ppo update$"):
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
-                   rng.standard_normal(64), rng.standard_normal(64), coeffs(), epochs=1,
+                   rng.standard_normal(64), rng.standard_normal(64), 0.0, epochs=1,
                    minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
 
 
@@ -388,7 +384,7 @@ def test_ppo_update_checks_fixed_inputs_before_first_minibatch(monkeypatch, name
         inputs[name][5] = np.nan
     with pytest.raises(TrainingDiverged, match=f"non-finite {name} "):
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
-                   inputs["advantages"], inputs["value_targets"], coeffs(), epochs=1,
+                   inputs["advantages"], inputs["value_targets"], 0.0, epochs=1,
                    minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
     assert forward_calls == []
 
@@ -399,13 +395,6 @@ def test_ppo_update_rejects_non_positive_lr_as_value_error(lr):
     cfg, params, buffer = _synthetic_buffer(rng)
     with pytest.raises(ValueError, match="lr must be > 0") as exc:
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
-                   rng.standard_normal(64), rng.standard_normal(64), coeffs(), epochs=1,
+                   rng.standard_normal(64), rng.standard_normal(64), 0.0, epochs=1,
                    minibatch_size=32, lr=lr, rng=np.random.default_rng(0))
     assert not isinstance(exc.value, TrainingDiverged)
-
-
-def test_coefficient_validation():
-    with pytest.raises(ValueError):
-        LossCoefficients(c1=-0.1, clip_epsilon=0.2, c2_effective=0.0)
-    with pytest.raises(ValueError):
-        LossCoefficients(c1=0.5, clip_epsilon=0.0, c2_effective=0.0)

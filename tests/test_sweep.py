@@ -183,6 +183,9 @@ def test_spec_validation():
         SweepSpec(seeds_per_cell=0)
     with pytest.raises(ValueError):
         SweepSpec(parallelism=0)
+    for grid in ((float("nan"), 0.1), (0.1, float("inf")), (0.1, -0.1)):
+        with pytest.raises(ValueError, match="c2_base must be finite and >= 0"):
+            SweepSpec(coefficient_grid=grid)
 
 
 def test_spec_rejects_grid_that_plans_no_runs():
@@ -202,6 +205,7 @@ def test_spec_rejects_run_settings_every_run_would_reject(bad):
     dict(tau_grid=(1, 10, 1)),
     dict(coefficient_grid=(0.1, 0.1)),
     dict(coefficient_grid=(0.1, 0.1000001)),  # both print as 0.1 in log file names
+    dict(coefficient_grid=(0.0, -0.0)),  # equal, but they print as 0 and -0
 ])
 def test_spec_rejects_colliding_grid_values(grids):
     with pytest.raises(ValueError):

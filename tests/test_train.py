@@ -28,11 +28,11 @@ def test_config_defaults_and_validation():
     with pytest.raises(ValueError):
         TrainConfig(total_env_steps=100)  # less than one horizon
     with pytest.raises(ValueError):
-        TrainConfig(minibatch_size=100)  # does not divide horizon
-    with pytest.raises(ValueError):
         TrainConfig(seed=-1)
-    with pytest.raises(ValueError, match="epochs must be >= 1"):
-        TrainConfig(epochs=0)
+    for mode in ("standard", "adaptive"):
+        for c2 in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ValueError, match="c2_base must be finite and >= 0"):
+                TrainConfig(mode=mode, c2_base=c2)
 
 
 def test_two_updates_two_records():
