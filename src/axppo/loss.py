@@ -199,6 +199,8 @@ def ppo_update(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if minibatch_size < 1:
+        raise ValueError(f"minibatch_size must be >= 1, got {minibatch_size}")
     horizon = len(buffer.rewards)
     if horizon % minibatch_size != 0:
         raise ValueError(f"minibatch_size {minibatch_size} must divide horizon {horizon}")

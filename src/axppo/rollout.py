@@ -13,7 +13,11 @@ actually reached, since the time limit is not a property of the task.
 Every policy-driven step, here and in train.evaluate, goes through one
 private helper, _policy_step: observation, forward_single, a two-action
 log-softmax (_log_softmax2, loss.log_softmax bit for bit up to the sign of
-a NaN), sample_categorical, cartpole.step. forward_single,
+a NaN), sample_categorical, cartpole.step. The log-softmax does its
+comparison, shifts, sum and subtractions on Python floats, which IEEE-754
+rounds exactly as numpy does, and leaves only exp and log to numpy, whose
+SIMD loops round differently from the math module; a Python float op costs
+less per step than the same op on numpy scalars. forward_single,
 sample_categorical, step and reset are looked up in this module's globals at
 call time so that tests can substitute them. collect_rollout keeps each step
 as a tuple, stacks the columns into arrays once, and checks the stacked
@@ -62,22 +66,29 @@ def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     return int(probs[0] <= rng.random())
 
 
-def _log_softmax2(logits: np.ndarray) -> np.ndarray:
-    """loss.log_softmax of a two-entry logit vector with less dispatch.
+def _log_softmax2(logits: np.ndarray) -> tuple[float, float]:
+    """loss.log_softmax of a two-entry logit vector, as a tuple of two Python floats.
 
     Bit for bit the same, except that a NaN may carry the other sign bit
-    (numpy's maximum-reduce sets it by position). Why the rest matches:
+    (numpy's maximum-reduce sets it by position). The comparison, the two
+    shifts, the sum of the exponentials and the two final subtractions run on
+    Python floats: IEEE-754 defines comparison and correctly rounded `+` and
+    `-`, so Python and numpy give the same bits for them. Only the exp and
+    the log stay numpy ufuncs, because numpy's SIMD loops round differently
+    from math.exp and math.log (see net.forward_single), and a ufunc gives
+    the same result on a scalar as on an array entry. Why the rest matches:
     without a NaN logit the comparison picks the maximum (for 0.0 against
     -0.0 either one, which changes no result); with one, every entry is NaN
-    on both paths; the add-reduce of two entries is e0 + e1 (exp never
-    returns -0.0); and a ufunc gives the same result on a scalar as on a
-    one-entry array. No output reads a NaN's sign: sample_categorical picks
+    on both paths; and the add-reduce of two entries is e0 + e1 (exp never
+    returns -0.0). No output reads a NaN's sign: sample_categorical picks
     action 1 for any NaN, and collect_rollout rejects non-finite logits.
     """
-    z0, z1 = logits
-    shifted = logits - (z0 if z0 >= z1 else z1)
-    e0, e1 = np.exp(shifted)
-    return shifted - np.log(e0 + e1)
+    z0, z1 = logits.tolist()
+    m = z0 if z0 >= z1 else z1
+    s0 = z0 - m
+    s1 = z1 - m
+    lse = float(np.log(float(np.exp(s0)) + float(np.exp(s1))))
+    return s0 - lse, s1 - lse
 
 
 def _policy_step(unpacked, state: CartPoleState, rng: np.random.Generator):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train, write_update_log
+from .train import SEED_OFFSET_EVAL, TrainConfig, _require_int, evaluate, train, write_update_log
 
 __all__ = ["SweepSpec", "RunResult", "plan_runs", "run_sweep", "render_results", "RUNS_CSV_HEADER"]
 
@@ -45,7 +45,11 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "coefficient_grid", tuple(float(c) for c in self.coefficient_grid))
-        object.__setattr__(self, "tau_grid", tuple(int(t) for t in self.tau_grid))
+        object.__setattr__(self, "tau_grid", tuple(self.tau_grid))
+        for t in self.tau_grid:
+            _require_int("tau", t)
+        _require_int("seeds_per_cell", self.seeds_per_cell)
+        _require_int("parallelism", self.parallelism)
         if not self.coefficient_grid or not self.tau_grid:
             raise ValueError("coefficient and tau grids must be non-empty")
         if any(t < 1 for t in self.tau_grid):

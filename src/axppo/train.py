@@ -57,6 +57,12 @@ LOG_HEADER = (
 )
 
 
+def _require_int(name: str, value) -> None:
+    """Reject a count or seed that is not an integer (a float would fail far from here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Settings of one run. Defaults are the configuration every experiment uses.
@@ -80,6 +86,8 @@ class TrainConfig:
     gae_lambda: ClassVar[float] = 0.95
 
     def __post_init__(self):
+        for name in ("tau", "total_env_steps", "seed", "eval_episodes"):
+            _require_int(name, getattr(self, name))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (math.isfinite(self.c2_base) and self.c2_base >= 0.0):

@@ -284,6 +284,20 @@ def test_ppo_update_rejects_epochs_below_one(epochs):
         )
 
 
+@pytest.mark.parametrize("minibatch_size", [0, -64])
+def test_ppo_update_rejects_minibatch_size_below_one(minibatch_size):
+    # 0 used to raise ZeroDivisionError; -64 ran no minibatch and returned a NaN breakdown
+    rng = np.random.default_rng(5)
+    cfg, params, buffer = _synthetic_buffer(rng)
+    adv, targets = rng.standard_normal(64), rng.standard_normal(64)
+    with pytest.raises(ValueError, match="minibatch_size must be >= 1"):
+        ppo_update(
+            params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
+            0.1, epochs=1, minibatch_size=minibatch_size, lr=1e-3,
+            rng=np.random.default_rng(0),
+        )
+
+
 def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
     calls = {"loss_output_gradients": 0, "loss_breakdown": 0}
 

@@ -278,7 +278,7 @@ def assert_log_softmax2_matches(logits):
     """Bitwise equal wherever log_softmax is not NaN; NaN (of either sign) in the same entries."""
     with np.errstate(all="ignore"):  # inf - inf and the like are inputs here
         expected = log_softmax(logits)
-        got = axppo.rollout._log_softmax2(logits)
+        got = np.array(axppo.rollout._log_softmax2(logits))
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(got), nan), logits
     assert got[~nan].tobytes() == expected[~nan].tobytes(), logits
@@ -299,3 +299,20 @@ def test_two_action_log_softmax_matches_on_extreme_logits(z0):
 @example(z0=-1.0, z1=-1.0 + 2**-52)
 def test_two_action_log_softmax_matches_log_softmax(z0, z1):
     assert_log_softmax2_matches(np.array([z0, z1]))
+
+
+@given(z0=st.floats(width=64), z1=st.floats(width=64))
+@example(z0=0.0, z1=-800.0)
+@example(z0=np.inf, z1=1.0)
+def test_two_action_probabilities_match_exp_of_log_softmax(z0, z1):
+    """The array sample_categorical reads: Python floats in, the same bytes out as before."""
+    logits = np.array([z0, z1])
+    with np.errstate(all="ignore"):
+        log_p = axppo.rollout._log_softmax2(logits)
+        expected = np.exp(log_softmax(logits))
+        got = np.exp(log_p)
+    assert type(log_p) is tuple and len(log_p) == 2
+    assert all(type(x) is float for x in log_p), log_p
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan), logits
+    assert got[~nan].tobytes() == expected[~nan].tobytes(), logits

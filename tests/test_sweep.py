@@ -188,6 +188,17 @@ def test_spec_validation():
             SweepSpec(coefficient_grid=grid)
 
 
+@pytest.mark.parametrize("bad, value", [
+    (dict(tau_grid=(1.7, 10)), "1.7"),  # used to become (1, 10)
+    (dict(tau_grid=(1.2, 1.7)), "1.2"),  # used to be reported as duplicates (1, 1)
+    (dict(seeds_per_cell=1.5), "1.5"),
+    (dict(parallelism=2.0), "2.0"),
+])
+def test_spec_rejects_non_integer_counts(bad, value):
+    with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+        SweepSpec(**bad)
+
+
 def test_spec_rejects_grid_that_plans_no_runs():
     with pytest.raises(ValueError, match="plans no runs"):
         SweepSpec(coefficient_grid=(0.0,), include_standard=False)

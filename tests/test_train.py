@@ -33,6 +33,12 @@ def test_config_defaults_and_validation():
         for c2 in (float("nan"), float("inf"), -0.1):
             with pytest.raises(ValueError, match="c2_base must be finite and >= 0"):
                 TrainConfig(mode=mode, c2_base=c2)
+    # non-integers used to fail later, in range(), a slice, SeedSequence or evaluate
+    for name, value in (("tau", 2.5), ("total_env_steps", 1000.5), ("seed", 1.5),
+                        ("eval_episodes", 2.5), ("total_env_steps", 60_000.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
+    assert TrainConfig(tau=np.int64(5), seed=np.int64(2)).tau == 5
 
 
 def test_two_updates_two_records():
