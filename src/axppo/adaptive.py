@@ -10,6 +10,7 @@ empty window yields 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .cartpole import MAX_RETURN
@@ -52,8 +53,8 @@ def effective_entropy_coef(mode: str, window: ReturnWindow, c2_base: float) -> f
     """Entropy coefficient applied this update: c2_base, scaled by g_recent in adaptive mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if c2_base < 0.0:
-        raise ValueError(f"c2_base must be >= 0, got {c2_base}")
+    if not (math.isfinite(c2_base) and c2_base >= 0.0):
+        raise ValueError(f"c2_base must be finite and >= 0, got {c2_base}")
     if mode == "standard":
         return c2_base
     return g_recent(window) * c2_base

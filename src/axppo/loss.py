@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import NetworkConfig, NetworkOutput, backprop, forward
+from .net import NetworkConfig, NetworkOutput, _require_int, backprop, forward
 from .optim import AdamState, _NonFiniteGradient, adam_step
 
 __all__ = [
@@ -197,6 +197,8 @@ def ppo_update(
     output through loss_output_gradients' own check; the loss of every
     minibatch here; its gradient through adam_step's own check.
     """
+    _require_int("epochs", epochs)
+    _require_int("minibatch_size", minibatch_size)
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if minibatch_size < 1:

@@ -155,9 +155,13 @@ def forward(
 
 
 def forward_single(
-    unpacked: list[tuple[np.ndarray, np.ndarray]], obs: np.ndarray
-) -> tuple[np.ndarray, float]:
+    unpacked: list[tuple[np.ndarray, np.ndarray]], obs: np.ndarray, *, with_value: bool = True
+) -> tuple[np.ndarray, float] | np.ndarray:
     """Fast path for one observation given pre-unpacked layers: (logits, value).
+
+    With with_value=False it skips the value head and returns the logits
+    alone, byte for byte the logits of the default call; evaluation samples
+    actions and never reads a value.
 
     Bitwise equal to tanh(a @ w + b) per trunk layer and the same two heads.
     np.dot reaches the same BLAS gemv/ddot call as @ with less dispatch, and
@@ -166,7 +170,7 @@ def forward_single(
     numpy's vector loops; one merged (hidden, actions + 1) head would make the
     value a gemv instead of a ddot, which rounds differently too.
     """
-    trunk, (w_pi, b_pi), (w_v, b_v) = unpacked[:-2], unpacked[-2], unpacked[-1]
+    trunk, (w_pi, b_pi) = unpacked[:-2], unpacked[-2]
     a = obs
     for w, b in trunk:
         a = np.dot(a, w)
@@ -174,8 +178,10 @@ def forward_single(
         np.tanh(a, out=a)
     logits = np.dot(a, w_pi)
     logits += b_pi
-    value = float(np.dot(a, w_v[:, 0]) + b_v[0])
-    return logits, value
+    if not with_value:
+        return logits
+    w_v, b_v = unpacked[-1]
+    return logits, float(np.dot(a, w_v[:, 0]) + b_v[0])
 
 
 def backprop(
@@ -251,7 +257,13 @@ def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray)
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value) -> None:
+    """Reject a count or seed that is not an integer (a float would fail far from here)."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def load_checkpoint(path: str | Path) -> tuple[NetworkConfig, np.ndarray]:

@@ -8,6 +8,7 @@ TrainingDiverged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ def adam_step(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"adam state {state.first_moment.shape}"
         )
-    if lr <= 0.0:
-        raise ValueError(f"lr must be > 0, got {lr}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be > 0 and finite, got {lr}")
     if not np.isfinite(grads).all():
         raise _NonFiniteGradient("non-finite gradient entries; update rejected")
 

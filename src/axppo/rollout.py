@@ -10,14 +10,19 @@ cart out of bounds) masks the successor value to zero, while truncation (the
 500-step limit) bootstraps with the value of the state the environment
 actually reached, since the time limit is not a property of the task.
 
-Every policy-driven step, here and in train.evaluate, goes through one
-private helper, _policy_step: observation, forward_single, a two-action
-log-softmax (_log_softmax2, loss.log_softmax bit for bit up to the sign of
-a NaN), sample_categorical, cartpole.step. The log-softmax does its
-comparison, shifts, sum and subtractions on Python floats, which IEEE-754
-rounds exactly as numpy does, and leaves only exp and log to numpy, whose
-SIMD loops round differently from the math module; a Python float op costs
-less per step than the same op on numpy scalars. forward_single,
+Every policy-driven step, here and in train.evaluate, samples and steps
+through one private helper, _sample_and_step: a two-action log-softmax
+(_log_softmax2, loss.log_softmax bit for bit up to the sign of a NaN),
+sample_categorical on the probability of action 0, cartpole.step. The caller
+computes the logits: collect_rollout with forward_single(unpacked, obs),
+which also returns the value it stores, and evaluate with
+forward_single(..., with_value=False), which skips the value head nobody
+reads there. The log-softmax does its comparison, shifts, sum and
+subtractions on Python floats, which IEEE-754 rounds exactly as numpy does,
+and leaves only exp and log to numpy, whose SIMD loops round differently
+from the math module; a Python float op costs less per step than the same op
+on numpy scalars. The sampling probability is np.exp of the first Python
+float, the same bits as the first entry of np.exp over both. forward_single,
 sample_categorical, step and reset are looked up in this module's globals at
 call time so that tests can substitute them. collect_rollout keeps each step
 as a tuple, stacks the columns into arrays once, and checks the stacked
@@ -57,13 +62,17 @@ class RolloutBuffer:
     next_values: np.ndarray
 
 
-def sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw action 0 or 1 from a two-entry probability vector using one uniform variate.
+def sample_categorical(rng: np.random.Generator, p0: float) -> int:
+    """Draw action 0 or 1, given the probability p0 of action 0, using one uniform variate.
 
-    Equal, NaN included, to the inverse-CDF rule
-    min(searchsorted(cumsum(probs), u, "right"), 1).
+    Action 1 when p0 <= u, else action 0; a NaN p0 gives action 0. Equal to
+    the inverse-CDF rule min(searchsorted(cumsum([p0, p1]), u, "right"), 1)
+    for every p1, NaN included: that rule reads p1 only through the clamped
+    last bin. The branch, not int(), turns the comparison into an int: with
+    the numpy float64 p0 the rollout passes, the comparison is a numpy bool,
+    and int() of one costs more than testing it.
     """
-    return int(probs[0] <= rng.random())
+    return 1 if p0 <= rng.random() else 0
 
 
 def _log_softmax2(logits: np.ndarray) -> tuple[float, float]:
@@ -81,7 +90,7 @@ def _log_softmax2(logits: np.ndarray) -> tuple[float, float]:
     -0.0 either one, which changes no result); with one, every entry is NaN
     on both paths; and the add-reduce of two entries is e0 + e1 (exp never
     returns -0.0). No output reads a NaN's sign: sample_categorical picks
-    action 1 for any NaN, and collect_rollout rejects non-finite logits.
+    action 0 for any NaN, and collect_rollout rejects non-finite logits.
     """
     z0, z1 = logits.tolist()
     m = z0 if z0 >= z1 else z1
@@ -91,18 +100,16 @@ def _log_softmax2(logits: np.ndarray) -> tuple[float, float]:
     return s0 - lse, s1 - lse
 
 
-def _policy_step(unpacked, state: CartPoleState, rng: np.random.Generator):
-    """One environment step under the policy, shared by collect_rollout and evaluate.
+def _sample_and_step(state: CartPoleState, logits: np.ndarray, rng: np.random.Generator):
+    """Sample an action from the policy's logits and step the environment with it.
 
-    Returns (step result, observation, action, log-probability of the action,
-    logits, value). Nothing here checks the outputs for finiteness;
-    collect_rollout does so once per rollout.
+    Shared by collect_rollout and evaluate. Returns (step result, action,
+    log-probability of the action). Nothing here checks the logits for
+    finiteness; collect_rollout does so once per rollout.
     """
-    obs = state.as_obs()
-    logits, value = forward_single(unpacked, obs)
     log_p = _log_softmax2(logits)
-    action = sample_categorical(rng, np.exp(log_p))
-    return step(state, action), obs, action, log_p[action], logits, value
+    action = sample_categorical(rng, np.exp(log_p[0]))
+    return step(state, action), action, log_p[action]
 
 
 def collect_rollout(
@@ -132,9 +139,12 @@ def collect_rollout(
     rows = []  # (obs, action, log-prob, value, logits, reward, terminated, truncated)
     truncation_values = {}  # row -> value of the state the time limit cut off
     for t in range(horizon):
-        result, o, action, log_prob, logits, value = _policy_step(unpacked, state, action_rng)
-        next_state, reward, term, trunc = result
-        rows.append((o, action, log_prob, value, logits, reward, term, trunc))
+        obs = state.as_obs()
+        logits, value = forward_single(unpacked, obs)
+        (next_state, reward, term, trunc), action, log_prob = _sample_and_step(
+            state, logits, action_rng
+        )
+        rows.append((obs, action, log_prob, value, logits, reward, term, trunc))
         running_return += reward
 
         if term or trunc:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .train import SEED_OFFSET_EVAL, TrainConfig, _require_int, evaluate, train, write_update_log
+from .net import _require_int
+from .train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train, write_update_log
 
 __all__ = ["SweepSpec", "RunResult", "plan_runs", "run_sweep", "render_results", "RUNS_CSV_HEADER"]
 
@@ -188,6 +188,9 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
             except Exception as exc:
                 failed[i] = exc
     else:
+        # imported here: the pool pulls in multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
             futures = {pool.submit(_execute_run, p): i for i, p in enumerate(plans)}
             for future in as_completed(futures):

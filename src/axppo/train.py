@@ -25,9 +25,9 @@ import numpy as np
 from .adaptive import MODES, ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
 from .cartpole import reset
 from .loss import LossBreakdown, TrainingDiverged, ppo_update
-from .net import NetworkConfig, init_params, unpack_params
+from .net import NetworkConfig, _require_int, forward_single, init_params, unpack_params
 from .optim import init_adam_state
-from .rollout import _policy_step, collect_rollout, compute_gae
+from .rollout import _sample_and_step, collect_rollout, compute_gae
 
 __all__ = [
     "TrainConfig",
@@ -55,12 +55,6 @@ LOG_HEADER = (
     "update,env_steps,batch_mean_return,g_recent,c2_effective,"
     "loss_clip,loss_value,loss_entropy,loss_total"
 )
-
-
-def _require_int(name: str, value) -> None:
-    """Reject a count or seed that is not an integer (a float would fail far from here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +194,8 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
         state = reset(rng)
         total = 0.0
         while True:
-            state, reward, terminated, truncated = _policy_step(unpacked, state, rng)[0]
+            logits = forward_single(unpacked, state.as_obs(), with_value=False)
+            state, reward, terminated, truncated = _sample_and_step(state, logits, rng)[0]
             total += reward
             if terminated or truncated:
                 break

@@ -105,6 +105,14 @@ def test_mode_validation():
         effective_entropy_coef("adaptive", ReturnWindow(capacity=1), -0.1)
 
 
+@pytest.mark.parametrize("mode", ["standard", "adaptive"])
+@pytest.mark.parametrize("c2_base", [float("nan"), float("inf")])
+def test_non_finite_base_coefficient_rejected(mode, c2_base):
+    # used to return NaN or inf, surfacing later as a non-finite loss
+    with pytest.raises(ValueError, match="c2_base must be finite and >= 0"):
+        effective_entropy_coef(mode, fill(ReturnWindow(capacity=2), [250.0]), c2_base)
+
+
 def test_window_validation():
     with pytest.raises(ValueError):
         ReturnWindow(capacity=0)

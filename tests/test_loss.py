@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -280,6 +281,25 @@ def test_ppo_update_rejects_epochs_below_one(epochs):
         ppo_update(
             params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
             0.1, epochs=epochs, minibatch_size=32, lr=1e-3,
+            rng=np.random.default_rng(0),
+        )
+
+
+@pytest.mark.parametrize("schedule", [
+    dict(epochs=1.5), dict(epochs=True),
+    dict(minibatch_size=32.0), dict(minibatch_size=np.float64(32)),
+])
+def test_ppo_update_rejects_non_integer_schedule(schedule):
+    # floats used to raise TypeError from range(); True ran as one epoch
+    rng = np.random.default_rng(5)
+    cfg, params, buffer = _synthetic_buffer(rng)
+    adv, targets = rng.standard_normal(64), rng.standard_normal(64)
+    (name, value), = schedule.items()
+    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        ppo_update(
+            params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
+            0.1, **{"epochs": 1, "minibatch_size": 32, **schedule}, lr=1e-3,
             rng=np.random.default_rng(0),
         )
 

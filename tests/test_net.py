@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from axppo.net import (
     NetworkConfig,
@@ -118,6 +120,25 @@ def test_forward_single_matches_plain_formula_bitwise(seed):
         logits, value = forward_single(unpacked, obs)
         assert logits.tobytes() == (a @ w_pi + b_pi).tobytes()
         assert value == float(a @ w_v[:, 0] + b_v[0])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    param_scale=st.floats(1e-3, 1e300),
+    obs=st.lists(st.floats(width=64), min_size=4, max_size=4),
+)
+@example(seed=0, param_scale=1.0, obs=[0.0, 0.0, 0.0, 0.0])
+@example(seed=1, param_scale=1e300, obs=[1e308, -1e308, 5e-324, np.inf])
+def test_forward_single_logits_only_matches_default(seed, param_scale, obs):
+    cfg = NetworkConfig(obs_dim=4, hidden_sizes=(64, 64), action_count=2)
+    rng = np.random.default_rng(seed)
+    unpacked = unpack_params(param_scale * rng.standard_normal(cfg.param_count), cfg)
+    obs = np.array(obs)
+    with np.errstate(all="ignore"):  # overflow and inf - inf are inputs here
+        logits, _ = forward_single(unpacked, obs)
+        logits_only = forward_single(unpacked, obs, with_value=False)
+    assert type(logits_only) is np.ndarray
+    assert logits_only.tobytes() == logits.tobytes()
 
 
 def test_forward_dimension_mismatch():

@@ -72,8 +72,10 @@ def test_rejects_non_finite_gradients():
 
 
 def test_rejects_bad_lr_and_shapes():
-    with pytest.raises(ValueError):
-        adam_step(np.zeros(2), np.zeros(2), init_adam_state(2), lr=0.0)
+    # NaN and inf used to pass the check and turn the parameters non-finite
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr must be > 0 and finite"):
+            adam_step(np.zeros(2), np.zeros(2), init_adam_state(2), lr=lr)
     with pytest.raises(ValueError):
         adam_step(np.zeros(2), np.zeros(3), init_adam_state(2), lr=1e-3)
 

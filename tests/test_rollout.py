@@ -268,10 +268,13 @@ U_MAX = np.nextafter(1.0, 0.0)
 @example(p0=0.2, p1=np.nan, u=0.5)
 @example(p0=np.nan, p1=0.2, u=0.0)
 def test_two_action_sampler_matches_clamped_searchsorted(p0, p1, u):
-    probs = np.array([p0, p1])
-    rng = FixedUniform(u)
-    assert sample_categorical(rng, probs) == searchsorted_rule(probs, u)
-    assert rng.draws == 1
+    # the rollout passes a numpy float64 (np.exp of a Python float); check both scalar types
+    for p in (p0, np.float64(p0)):
+        rng = FixedUniform(u)
+        action = sample_categorical(rng, p)
+        assert action == searchsorted_rule(np.array([p0, p1]), u)
+        assert type(action) is int
+        assert rng.draws == 1
 
 
 def assert_log_softmax2_matches(logits):
@@ -305,14 +308,14 @@ def test_two_action_log_softmax_matches_log_softmax(z0, z1):
 @example(z0=0.0, z1=-800.0)
 @example(z0=np.inf, z1=1.0)
 def test_two_action_probabilities_match_exp_of_log_softmax(z0, z1):
-    """The array sample_categorical reads: Python floats in, the same bytes out as before."""
+    """The probability sample_categorical reads: the same bytes as entry 0 of the array form."""
     logits = np.array([z0, z1])
     with np.errstate(all="ignore"):
         log_p = axppo.rollout._log_softmax2(logits)
-        expected = np.exp(log_softmax(logits))
-        got = np.exp(log_p)
+        expected = np.exp(log_softmax(logits))[0]
+        got = np.exp(log_p[0])
     assert type(log_p) is tuple and len(log_p) == 2
     assert all(type(x) is float for x in log_p), log_p
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(got), nan), logits
-    assert got[~nan].tobytes() == expected[~nan].tobytes(), logits
+    assert np.isnan(got) == np.isnan(expected), logits
+    if not np.isnan(expected):
+        assert got.tobytes() == expected.tobytes(), logits

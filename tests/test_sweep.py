@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -227,3 +230,12 @@ def test_render_csv_keeps_full_coefficient_precision():
     results = [RunResult("standard", 0.123456789, None, 1, 400.0, 1.0, "x")]
     row = next(csv.DictReader(render_results(results, "csv").splitlines()))
     assert float(row["c2"]) == 0.123456789
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only run_sweep with parallelism > 1 needs concurrent.futures.process (and multiprocessing)
+    code = "import sys, axppo; print('concurrent.futures.process' in sys.modules)"
+    src = str(Path(axppo.sweep.__file__).parents[1])  # the directory holding the package
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
