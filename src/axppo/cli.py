@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,11 @@ def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace, spec: SweepSpec) -> int:
-    results = run_sweep(spec)
+    try:
+        results = run_sweep(spec)
+    except FileExistsError as exc:  # the output directory already holds a sweep
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 1
     ok = [r for r in results if not r.diverged]
     print(f"{len(ok)}/{len(results)} runs completed")
     print(f"results: {Path(spec.output_dir) / 'runs.csv'}")

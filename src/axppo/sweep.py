@@ -5,10 +5,14 @@ coefficient, plus the adaptive variant at every nonzero coefficient crossed
 with every window length, three seeds per cell. Adaptive cells at coefficient
 zero are skipped because a zero coefficient makes both modes identical.
 
+Each run is a TrainConfig; plan_runs lists them in grid order. A standard run
+keeps the default tau, which standard mode never reads, and reports none.
+
 Every run is fully isolated (own seeds, own log file), so runs may execute in
 worker processes; results always come back in grid order regardless of
 completion order, and per-cell seeds depend only on base_seed, so any cell can
-be re-run on its own.
+be re-run on its own. An output directory that already holds a sweep is
+refused, so two sweeps never mix in one runs.csv and logs/.
 """
 
 from __future__ import annotations
@@ -90,80 +94,68 @@ class RunResult:
     diverged: bool = False
 
 
-@dataclass(frozen=True)
-class _RunPlan:
-    mode: str
-    c2_base: float
-    tau: int | None
-    seed: int
-    total_env_steps: int
-    eval_episodes: int
-    log_path: str
-
-
 def _fmt_num(x: float) -> str:
     return f"{x:g}"
 
 
-def plan_runs(spec: SweepSpec) -> list[_RunPlan]:
-    """Expand the grid into concrete runs, in deterministic grid order."""
-    cells: list[tuple[str, float, int | None]] = []
+def plan_runs(spec: SweepSpec) -> list[TrainConfig]:
+    """Expand the grid into one TrainConfig per run, in deterministic grid order."""
+    cells: list[dict] = []
     if spec.include_standard:
-        cells.extend(("standard", c2, None) for c2 in spec.coefficient_grid)
+        cells.extend(dict(mode="standard", c2_base=c2) for c2 in spec.coefficient_grid)
     cells.extend(
-        ("adaptive", c2, tau)
+        dict(mode="adaptive", c2_base=c2, tau=tau)
         for c2 in spec.coefficient_grid
         if c2 > 0.0
         for tau in spec.tau_grid
     )
-
-    logs_dir = Path(spec.output_dir) / "logs"
-    plans = []
-    for mode, c2, tau in cells:
-        for k in range(spec.seeds_per_cell):
-            seed = spec.base_seed + k
-            tau_tag = "na" if tau is None else str(tau)
-            log_path = logs_dir / f"run_{mode}_{_fmt_num(c2)}_{tau_tag}_{seed}.csv"
-            plans.append(
-                _RunPlan(
-                    mode=mode, c2_base=c2, tau=tau, seed=seed,
-                    total_env_steps=spec.total_env_steps,
-                    eval_episodes=spec.eval_episodes,
-                    log_path=str(log_path),
-                )
-            )
-    return plans
+    return [
+        TrainConfig(
+            **cell, total_env_steps=spec.total_env_steps, seed=spec.base_seed + k,
+            eval_episodes=spec.eval_episodes,
+        )
+        for cell in cells
+        for k in range(spec.seeds_per_cell)
+    ]
 
 
-def _execute_run(plan: _RunPlan) -> RunResult:
-    """Train, evaluate and log one grid cell seed. Must stay picklable (module level)."""
-    config = TrainConfig(
-        mode=plan.mode,
-        c2_base=plan.c2_base,
-        tau=plan.tau if plan.tau is not None else 1,
-        total_env_steps=plan.total_env_steps,
-        seed=plan.seed,
-        eval_episodes=plan.eval_episodes,
-    )
+def _reported_tau(config: TrainConfig) -> int | None:
+    """The window a run reports: None for a standard run, whose coefficient ignores tau."""
+    return config.tau if config.mode == "adaptive" else None
+
+
+def _describe(config: TrainConfig) -> str:
+    c2, tau = _fmt_num(config.c2_base), _reported_tau(config)
+    return f"{config.mode} c2={c2} tau={tau} seed={config.seed}"
+
+
+def _log_path(out_dir: Path, config: TrainConfig) -> Path:
+    tau = _reported_tau(config)
+    name = f"run_{config.mode}_{_fmt_num(config.c2_base)}_{'na' if tau is None else tau}"
+    return out_dir / "logs" / f"{name}_{config.seed}.csv"
+
+
+def _execute_run(config: TrainConfig, log_path: Path) -> RunResult:
+    """Train, evaluate and log one run. Must stay picklable (module level)."""
     start = time.perf_counter()
     result = train(config)
     if result.diverged:
         final = float("nan")
     else:
         report = evaluate(
-            result.params, config, np.random.default_rng(plan.seed + SEED_OFFSET_EVAL)
+            result.params, config, np.random.default_rng(config.seed + SEED_OFFSET_EVAL)
         )
         final = report.mean_return
     wall = time.perf_counter() - start
-    write_update_log(result.records, plan.log_path)
+    write_update_log(result.records, log_path)
     return RunResult(
-        mode=plan.mode,
-        c2_base=plan.c2_base,
-        tau=plan.tau,
-        seed=plan.seed,
+        mode=config.mode,
+        c2_base=config.c2_base,
+        tau=_reported_tau(config),
+        seed=config.seed,
         final_mean_return=final,
         wall_time_s=wall,
-        log_path=plan.log_path,
+        log_path=str(log_path),
         diverged=result.diverged,
     )
 
@@ -173,18 +165,22 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
 
     A run that raises does not stop the others. Once all have ended, the
     reports are written for the finished runs, in grid order, and the first
-    failed run's exception (in grid order) is re-raised.
+    failed run's exception (in grid order) is re-raised. An output_dir that
+    already holds runs.csv or logs/ raises FileExistsError before anything is written.
     """
     plans = plan_runs(spec)
     out_dir = Path(spec.output_dir)
-    (out_dir / "logs").mkdir(parents=True, exist_ok=True)
+    for path in (out_dir / "runs.csv", out_dir / "logs"):
+        if path.exists():
+            raise FileExistsError(f"{path} exists: {out_dir} already holds a sweep")
+    (out_dir / "logs").mkdir(parents=True)
 
     finished: dict[int, RunResult] = {}
     failed: dict[int, Exception] = {}
     if spec.parallelism == 1:
-        for i, plan in enumerate(plans):
+        for i, config in enumerate(plans):
             try:
-                finished[i] = _execute_run(plan)
+                finished[i] = _execute_run(config, _log_path(out_dir, config))
             except Exception as exc:
                 failed[i] = exc
     else:
@@ -192,7 +188,8 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            futures = {pool.submit(_execute_run, p): i for i, p in enumerate(plans)}
+            futures = {pool.submit(_execute_run, c, _log_path(out_dir, c)): i
+                       for i, c in enumerate(plans)}
             for future in as_completed(futures):
                 try:
                     finished[futures[future]] = future.result()
@@ -200,20 +197,13 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
                     failed[futures[future]] = exc
     results = [finished[i] for i in sorted(finished)]
 
-    for r in results:
-        if r.diverged:
-            print(
-                f"warning: run {r.mode} c2={_fmt_num(r.c2_base)} tau={r.tau} seed={r.seed} "
-                "diverged; excluded from cell means",
-                file=sys.stderr,
-            )
+    for i in sorted(finished):
+        if finished[i].diverged:
+            print(f"warning: run {_describe(plans[i])} diverged; excluded from cell means",
+                  file=sys.stderr)
     for i, exc in sorted(failed.items()):
-        plan = plans[i]
-        print(
-            f"error: run {plan.mode} c2={_fmt_num(plan.c2_base)} tau={plan.tau} seed={plan.seed} "
-            f"raised {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+        print(f"error: run {_describe(plans[i])} raised {type(exc).__name__}: {exc}",
+              file=sys.stderr)
 
     if results:
         (out_dir / "runs.csv").write_text(render_results(results, "csv"))

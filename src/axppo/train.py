@@ -209,15 +209,16 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
 
 
 def write_update_log(records: tuple[UpdateRecord, ...], path: str | Path) -> None:
-    """Per-run log: one comma-separated row per update under a fixed header."""
+    """Per-run log: one comma-separated row per update under a fixed header.
+
+    Every float is written with repr, so it parses back to the exact value.
+    """
     lines = [LOG_HEADER]
     for r in records:
-        lines.append(
-            f"{r.update_index},{r.env_steps_so_far},"
-            f"{r.batch_mean_return:.10g},{r.g_recent:.10g},{r.c2_effective:.10g},"
-            f"{r.loss.clip_term:.10g},{r.loss.value_term:.10g},"
-            f"{r.loss.entropy_term:.10g},{r.loss.total:.10g}"
-        )
+        floats = (r.batch_mean_return, r.g_recent, r.c2_effective, r.loss.clip_term,
+                  r.loss.value_term, r.loss.entropy_term, r.loss.total)
+        lines.append(f"{r.update_index},{r.env_steps_so_far},"
+                     + ",".join(repr(float(x)) for x in floats))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")

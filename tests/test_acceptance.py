@@ -1,13 +1,17 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 4-6 train full-length runs (~15 runs x ~8 s) and criterion 8 executes
-the entire default sweep (87 runs), so this module dominates the suite's
-runtime; those four carry the `slow` marker, and `-m "not slow"` runs the
-rest. Run with -s to see the per-criterion lines as they complete.
+Criteria 4-6 and 8 read one run of the entire default sweep (87 full-length
+runs), which the module-scoped `default_sweep` fixture trains once: criteria
+4-6 read the final eval returns of 15 of its runs, and criterion 8 checks the
+sweep itself. So running any one of those four alone trains the whole sweep.
+This module dominates the suite's runtime; the four carry the `slow` marker,
+and `-m "not slow"` runs the rest. Run with -s to see the per-criterion lines
+as they complete.
 """
 
 import math
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,32 +22,38 @@ from axppo.cartpole import CartPoleState, step
 from axppo.net import NetworkConfig, init_params
 from axppo.rollout import collect_rollout, compute_gae
 from axppo.sweep import RunResult, SweepSpec, render_results, run_sweep
-from axppo.train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train
+from axppo.train import TrainConfig, train
 
 from oracles import action_log_prob, categorical_entropy
 from test_loss import gradcheck_max_rel_error
 from test_rollout import make_buffer
 
-SEEDS = (1, 2, 3)
-
-_cell_cache = {}
+SEEDS = (1, 2, 3)  # the default sweep's seeds per cell
 
 
-def eval_mean(mode, c2, tau, seed):
-    """Train one full-length run and return its evaluation mean (cached)."""
-    key = (mode, c2, tau, seed)
-    if key not in _cell_cache:
-        config = TrainConfig(mode=mode, c2_base=c2, tau=tau, seed=seed)
-        result = train(config)
-        assert not result.diverged, f"run {key} diverged: {result.error}"
-        report = evaluate(result.params, config,
-                          np.random.default_rng(seed + SEED_OFFSET_EVAL))
-        _cell_cache[key] = report.mean_return
-    return _cell_cache[key]
+@dataclass(frozen=True)
+class DefaultSweep:
+    results: list[RunResult]
+    elapsed_s: float
+    output_dir: Path
 
 
-def cell_evals(mode, c2, tau=50):
-    return [eval_mean(mode, c2, tau, seed) for seed in SEEDS]
+@pytest.fixture(scope="module")
+def default_sweep(tmp_path_factory):
+    """The default 87-run sweep at parallelism 4, trained once and timed."""
+    output_dir = tmp_path_factory.mktemp("default_sweep")
+    start = time.perf_counter()
+    results = run_sweep(SweepSpec(parallelism=4, output_dir=output_dir))
+    return DefaultSweep(results, time.perf_counter() - start, output_dir)
+
+
+def cell_evals(sweep, mode, c2, tau=50):
+    """Final eval returns of one cell's seeds; a diverged run fails the criterion."""
+    cell = (mode, c2, tau if mode == "adaptive" else None)
+    runs = {r.seed: r for r in sweep.results if (r.mode, r.c2_base, r.tau) == cell}
+    for r in runs.values():
+        assert not r.diverged, f"run {mode} c2={c2} tau={tau} seed={r.seed} diverged"
+    return [runs[seed].final_mean_return for seed in SEEDS]
 
 
 def report(number, name, ok, detail):
@@ -82,26 +92,26 @@ def test_criterion_3_zero_coefficient_equivalence():
 
 
 @pytest.mark.slow
-def test_criterion_4_baseline_learning():
-    evals = cell_evals("standard", 0.0)
+def test_criterion_4_baseline_learning(default_sweep):
+    evals = cell_evals(default_sweep, "standard", 0.0)
     passing = sum(e >= 400.0 for e in evals)
     report(4, "baseline learning", passing >= 2,
            f"eval means {[round(e, 1) for e in evals]}, {passing}/3 seeds >= 400")
 
 
 @pytest.mark.slow
-def test_criterion_5_degradation_trend():
-    mean_01 = np.mean(cell_evals("standard", 0.1))
-    mean_08 = np.mean(cell_evals("standard", 0.8))
+def test_criterion_5_degradation_trend(default_sweep):
+    mean_01 = np.mean(cell_evals(default_sweep, "standard", 0.1))
+    mean_08 = np.mean(cell_evals(default_sweep, "standard", 0.8))
     report(5, "standard-PPO degradation", mean_08 <= 0.6 * mean_01,
            f"c2=0.8 mean {mean_08:.1f} vs 60% of c2=0.1 mean {0.6 * mean_01:.1f}")
 
 
 @pytest.mark.slow
-def test_criterion_6_robustness_trend():
-    mean_a01 = np.mean(cell_evals("adaptive", 0.1))
-    mean_a08 = np.mean(cell_evals("adaptive", 0.8))
-    mean_s08 = np.mean(cell_evals("standard", 0.8))
+def test_criterion_6_robustness_trend(default_sweep):
+    mean_a01 = np.mean(cell_evals(default_sweep, "adaptive", 0.1))
+    mean_a08 = np.mean(cell_evals(default_sweep, "adaptive", 0.8))
+    mean_s08 = np.mean(cell_evals(default_sweep, "standard", 0.8))
     ok = mean_a08 >= 0.75 * mean_a01 and mean_a08 >= 2.0 * mean_s08
     report(6, "adaptive robustness", ok,
            f"adaptive 0.8 mean {mean_a08:.1f} vs 75% of 0.1 mean {0.75 * mean_a01:.1f} "
@@ -175,16 +185,13 @@ def test_criterion_7_property_suite():
 
 
 @pytest.mark.slow
-def test_criterion_8_full_default_sweep(tmp_path):
-    start = time.perf_counter()
-    spec = SweepSpec(parallelism=4, output_dir=tmp_path)
-    results = run_sweep(spec)
-    elapsed = time.perf_counter() - start
-
+def test_criterion_8_full_default_sweep(default_sweep):
+    results, elapsed = default_sweep.results, default_sweep.elapsed_s
+    out = default_sweep.output_dir
     assert len(results) == 87
     diverged = [r for r in results if r.diverged]
-    runs_csv = (tmp_path / "runs.csv").read_text().strip().splitlines()
-    table = (tmp_path / "table.md").read_text().strip().splitlines()
+    runs_csv = (out / "runs.csv").read_text().strip().splitlines()
+    table = (out / "table.md").read_text().strip().splitlines()
     assert len(runs_csv) == 88
     assert len(table) == 2 + 7
     assert all(Path(r.log_path).exists() for r in results)
@@ -193,5 +200,5 @@ def test_criterion_8_full_default_sweep(tmp_path):
     ok = len(results) == 87 and not diverged and elapsed <= 2 * 3600
     report(8, "full default sweep", ok,
            f"87 runs in {elapsed / 60:.1f} min, {len(diverged)} diverged; "
-           f"outputs in {tmp_path}")
-    print((tmp_path / "table.md").read_text())
+           f"outputs in {out}")
+    print((out / "table.md").read_text())

@@ -123,6 +123,30 @@ def test_sweep_command_end_to_end(tmp_path, capsys):
     assert "3/3 runs completed" in stdout
 
 
+def test_sweep_refuses_an_output_directory_that_holds_a_sweep(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    tiny = ["--taus", "1", "--seeds", "1", "--no-standard", "--total-steps", "256",
+            "--out", str(out)]
+    assert main(["sweep", "--coefs", "0.2"] + tiny) == 0
+    capsys.readouterr()
+    runs_csv = (out / "runs.csv").read_text()
+    assert main(["sweep", "--coefs", "0.5"] + tiny) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(out / "runs.csv") in err[0]
+    assert (out / "runs.csv").read_text() == runs_csv
+    assert [p.name for p in (out / "logs").iterdir()] == ["run_adaptive_0.2_1_1.csv"]
+
+
+def test_sweep_standard_log_matches_train_log(tmp_path):
+    steps = ["--total-steps", str(4 * 256)]  # g_recent depends on tau from the second update
+    assert main(["sweep", "--coefs", "0.3", "--taus", "2", "--seeds", "1", "--base-seed", "4",
+                 "--out", str(tmp_path / "sweep")] + steps) == 0
+    assert main(["train", "--algo", "standard", "--entropy-coef", "0.3", "--seed", "4",
+                 "--out", str(tmp_path / "train")] + steps) == 0
+    sweep_log = tmp_path / "sweep" / "logs" / "run_standard_0.3_na_4.csv"
+    assert sweep_log.read_bytes() == (tmp_path / "train" / "log.csv").read_bytes()
+
+
 def test_eval_checkpoint_flag_required():
     with pytest.raises(SystemExit) as exc:
         main(["eval"])

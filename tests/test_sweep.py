@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from axppo.sweep import (
     render_results,
     run_sweep,
 )
+from axppo.train import TrainConfig
 
 TINY = dict(total_env_steps=256, eval_episodes=2)
 
@@ -28,8 +30,15 @@ def test_default_grid_run_count():
     standard = [p for p in plans if p.mode == "standard"]
     adaptive = [p for p in plans if p.mode == "adaptive"]
     assert len(standard) == 15 and len(adaptive) == 72
-    assert all(p.tau is None for p in standard)
+    assert all(p.tau == TrainConfig().tau for p in standard)
     assert not any(p.c2_base == 0.0 for p in adaptive)
+    # each plan is the TrainConfig of its run, in grid order
+    coefficients, taus, seeds = (0.0, 0.1, 0.3, 0.5, 0.8), (1, 10, 20, 50, 100, 200), (1, 2, 3)
+    expected = [TrainConfig(mode="standard", c2_base=c2, seed=s)
+                for c2 in coefficients for s in seeds]
+    expected += [TrainConfig(mode="adaptive", c2_base=c2, tau=t, seed=s)
+                 for c2 in coefficients[1:] for t in taus for s in seeds]
+    assert plans == expected
 
 
 def test_single_cell_spec():
@@ -80,11 +89,11 @@ def test_sweep_deterministic_across_parallelism(tmp_path):
         assert a.diverged == b.diverged
 
 
-def _execute_run_failing_standard_0_3(plan):
+def _execute_run_failing_standard_0_3(config, log_path):
     """_execute_run, except that the standard c2=0.3 run raises (module level: picklable)."""
-    if plan.mode == "standard" and plan.c2_base == 0.3:
+    if config.mode == "standard" and config.c2_base == 0.3:
         raise RuntimeError("worker failed")
-    return _execute_run(plan)
+    return _execute_run(config, log_path)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -99,6 +108,15 @@ def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, parallelism):
         ("standard", 0.0, ""), ("adaptive", 0.3, "2"),
     ]
     assert "axPPO tau=2" in (tmp_path / "table.md").read_text()
+
+
+@pytest.mark.parametrize("entry, make", [("runs.csv", Path.touch), ("logs", Path.mkdir)])
+def test_sweep_refuses_before_writing_anything(tmp_path, entry, make):
+    make(tmp_path / entry)
+    with pytest.raises(FileExistsError, match=re.escape(str(tmp_path / entry))):
+        run_sweep(SweepSpec(coefficient_grid=(0.1,), tau_grid=(1,), seeds_per_cell=1,
+                            output_dir=tmp_path, **TINY))
+    assert [p.name for p in tmp_path.iterdir()] == [entry]
 
 
 def make_results():

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_zero_coefficient_modes_identical_bitwise():
     assert [r.loss for r in r_std.records] == [r.loss for r in r_ad.records]
 
 
+def test_standard_mode_ignores_tau():
+    # the sweep trains every standard cell once and shows it as one table row
+    base = dict(mode="standard", c2_base=0.1, total_env_steps=1024, seed=8, eval_episodes=3)
+    r1, r50 = train(TrainConfig(tau=1, **base)), train(TrainConfig(tau=50, **base))
+    assert np.array_equal(r1.params, r50.params)
+    assert [replace(r, g_recent=0.0) for r in r1.records] \
+        == [replace(r, g_recent=0.0) for r in r50.records]
+    assert [r.g_recent for r in r1.records] != [r.g_recent for r in r50.records]
+    cfg = TrainConfig(**base)
+    assert evaluate(r1.params, cfg, np.random.default_rng(12)).per_episode_returns \
+        == evaluate(r50.params, cfg, np.random.default_rng(12)).per_episode_returns
+
+
 def test_divergence_aborts_with_marker(monkeypatch):
     calls = {"n": 0}
     real_update = axppo.loss.ppo_update
@@ -209,3 +223,8 @@ def test_update_log_format(tmp_path):
     assert len(first) == 9
     float(first[2])  # parseable numbers throughout
     assert float(first[3]) == pytest.approx(result.records[0].g_recent, rel=1e-9)
+    # every float is written at full precision: it parses back to the record's value
+    for line, r in zip(lines[1:], result.records):
+        expected = (r.batch_mean_return, r.g_recent, r.c2_effective, r.loss.clip_term,
+                    r.loss.value_term, r.loss.entropy_term, r.loss.total)
+        assert tuple(float(x) for x in line.split(",")[2:]) == expected
