@@ -18,6 +18,15 @@ value_targets) once, before its first minibatch; per minibatch it relies on
 loss_output_gradients for the network output, checks the loss itself, and
 relies on adam_step for the gradient. Every non-finite value found inside
 ppo_update raises TrainingDiverged.
+
+loss_output_gradients runs once per minibatch on small arrays, so its cost
+is mostly dispatch. It calls ufuncs directly and gives the same bits as the
+plain forms: np.add.reduce for ndarray.sum (the method wraps it);
+np.minimum(np.maximum(ratio, lo), hi) for np.clip, which computes the same
+for every ratio but NaN, and the ratio is never NaN because the inputs are
+checked finite; x * x for x**2, which numpy evaluates as that one product;
+np.zeros for np.zeros_like of a float64 array. The loss stays generic over
+the action count.
 """
 
 from __future__ import annotations
@@ -132,18 +141,19 @@ def loss_output_gradients(
     p = np.exp(log_p)
     ratio = np.exp(log_p[rows, actions] - old_log_probs)
     unclipped = ratio * advantages
-    clipped = np.clip(ratio, 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON) * advantages
+    clipped = np.minimum(np.maximum(ratio, 1.0 - CLIP_EPSILON), 1.0 + CLIP_EPSILON)
+    clipped *= advantages
     value_err = values - value_targets
-    entropy = -(p * log_p).sum(axis=-1)
+    entropy = -np.add.reduce(p * log_p, axis=-1)
 
-    # sum / n is the float division x.mean() makes, without its Python-level wrapper
-    clip_term = float(np.minimum(unclipped, clipped).sum() / n)
-    value_term = float(0.5 * ((value_err**2).sum() / n))
-    entropy_term = float(entropy.sum() / n)
+    # add-reduce / n is the float division x.mean() makes, without its Python-level wrapper
+    clip_term = float(np.add.reduce(np.minimum(unclipped, clipped)) / n)
+    value_term = float(0.5 * (np.add.reduce(value_err * value_err) / n))
+    entropy_term = float(np.add.reduce(entropy) / n)
     total = -clip_term + VALUE_COEF * value_term - c2_effective * entropy_term
 
     d_logp = np.where(unclipped <= clipped, -unclipped, 0.0)  # -unclipped == -ratio * A
-    one_hot = np.zeros_like(p)
+    one_hot = np.zeros(p.shape)
     one_hot[rows, actions] = 1.0
     d_logits = d_logp[:, None] * (one_hot - p)
     d_logits += c2_effective * p * (log_p + entropy[:, None])

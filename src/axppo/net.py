@@ -15,11 +15,22 @@ backprop reads the layers from there, so a minibatch unpacks the parameter
 vector once. Neither checks its numbers for finiteness: the minibatch loss
 (loss.loss_output_gradients) checks the network output and optim.adam_step
 the gradient. load_checkpoint rejects non-finite values.
+
+forward and backprop run once per minibatch, so they call the ufuncs and
+BLAS entry points directly and skip the Python wrappers around them; each
+replacement computes the same floats in the same order:
+- np.matmul for `@`: the operator dispatches to the same matmul ufunc;
+- np.add.reduce for ndarray.sum: the method is a wrapper around it;
+- a broadcast np.multiply for np.outer, which np.outer computes;
+- an in-place bias add for `x @ w + b`: the same addition, into the fresh
+  product instead of a second temporary.
+save_checkpoint writes through _write_text_atomic, as train and sweep do.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,13 +154,15 @@ def forward(
     activations = []
     a = obs_batch
     for w, b in trunk:
-        a = a @ w
+        a = np.matmul(a, w)
         a += b
         np.tanh(a, out=a)
         activations.append(a)
 
-    logits = a @ w_pi + b_pi
-    values = a @ w_v[:, 0] + b_v[0]
+    logits = np.matmul(a, w_pi)
+    logits += b_pi
+    values = np.matmul(a, w_v[:, 0])
+    values += b_v[0]
     trace = ForwardTrace(inputs=obs_batch, activations=activations, layers=layers)
     return NetworkOutput(logits=logits, values=values), trace
 
@@ -215,11 +228,12 @@ def backprop(
     h_last = layer_inputs[-1]
 
     np.matmul(h_last.T, d_logits, out=g_w_pi)
-    d_logits.sum(axis=0, out=g_b_pi)
+    np.add.reduce(d_logits, axis=0, out=g_b_pi)
     np.matmul(h_last.T, d_values, out=g_w_v[:, 0])
-    g_b_v[0] = d_values.sum()
+    g_b_v[0] = np.add.reduce(d_values)
 
-    d_h = d_logits @ w_pi.T + np.outer(d_values, w_v[:, 0])
+    d_h = np.matmul(d_logits, w_pi.T)
+    d_h += np.multiply(d_values[:, None], w_v.T)  # the outer product d_values x w_v
     for i in range(len(trunk) - 1, -1, -1):
         a = trace.activations[i]
         dz = a * a
@@ -227,16 +241,17 @@ def backprop(
         dz *= d_h  # d_h * tanh'(z), tanh'(z) = 1 - tanh(z)^2
         g_w, g_b = grad_layers[i]
         np.matmul(layer_inputs[i].T, dz, out=g_w)
-        dz.sum(axis=0, out=g_b)
+        np.add.reduce(dz, axis=0, out=g_b)
         if i > 0:
-            d_h = dz @ trunk[i][0].T
+            d_h = np.matmul(dz, trunk[i][0].T)
     return grads
 
 
 def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray) -> None:
     """Write a parameter checkpoint: one JSON header line, then one hex float per line.
 
-    float.hex round-trips IEEE-754 doubles bitwise through text.
+    float.hex round-trips IEEE-754 doubles bitwise through text. The file is
+    replaced atomically (_write_text_atomic).
     """
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (config.param_count,):
@@ -253,7 +268,26 @@ def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray)
     )
     lines = [header]
     lines.extend(float(v).hex() for v in params)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory and os.replace.
+
+    A reader, or a process killed mid-write, sees the old file or the new one,
+    never a partial one; a write that fails removes its temporary file. The
+    file is not fsynced, so this guards against a killed process, not against
+    power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _is_int(value) -> bool:

@@ -4,6 +4,13 @@ adam_step rejects a non-finite gradient with a ValueError. It is the only
 check of the gradient in training: ppo_update turns that error (a private
 subclass, told apart from adam_step's lr and shape errors) into
 TrainingDiverged.
+
+The bias correction c1 = 1 - ADAM_BETA1**t rounds to exactly 1.0 from t = 356
+on (0.9**356 is below 2**-54, half the gap from 1.0 down to the next double),
+and m / 1.0 is m for every double.
+So from then on adam_step computes m * lr where it computed (m / c1) * lr,
+with the same bits and one pass over the array fewer; a default run makes
+9360 steps, 9005 of them past that point.
 """
 
 from __future__ import annotations
@@ -70,8 +77,12 @@ def adam_step(
     np.multiply(grads, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= grads
     v += scratch
-    new_params = np.divide(m, 1.0 - ADAM_BETA1**t)
-    new_params *= lr
+    c1 = 1.0 - ADAM_BETA1**t
+    if c1 == 1.0:  # from t = 356 on; m / 1.0 is m, so m * lr gives the same bits
+        new_params = np.multiply(m, lr)
+    else:
+        new_params = np.divide(m, c1)
+        new_params *= lr
     np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
     np.sqrt(scratch, out=scratch)
     scratch += ADAM_EPS

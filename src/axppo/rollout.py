@@ -13,11 +13,15 @@ actually reached, since the time limit is not a property of the task.
 Every policy-driven step, here and in train.evaluate, samples and steps
 through one private helper, _sample_and_step: a two-action log-softmax
 (_log_softmax2, loss.log_softmax bit for bit up to the sign of a NaN),
-sample_categorical on the probability of action 0, cartpole.step. The caller
-computes the logits: collect_rollout with forward_single(unpacked, obs),
-which also returns the value it stores, and evaluate with
+sample_categorical on a uniform variate and the probability of action 0,
+cartpole.step. The caller computes the logits and draws the uniform:
+collect_rollout calls forward_single(unpacked, obs), which also returns the
+value it stores, and takes the rollout's horizon uniforms in one
+action_rng.random(horizon) (the same doubles, and the same generator state
+after, as one scalar draw per step); evaluate calls
 forward_single(..., with_value=False), which skips the value head nobody
-reads there. The log-softmax does its comparison, shifts, sum and
+reads there, and draws one uniform per step from its generator, which also
+feeds reset. The log-softmax does its comparison, shifts, sum and
 subtractions on Python floats, which IEEE-754 rounds exactly as numpy does,
 and leaves only exp and log to numpy, whose SIMD loops round differently
 from the math module; a Python float op costs less per step than the same op
@@ -62,8 +66,8 @@ class RolloutBuffer:
     next_values: np.ndarray
 
 
-def sample_categorical(rng: np.random.Generator, p0: float) -> int:
-    """Draw action 0 or 1, given the probability p0 of action 0, using one uniform variate.
+def sample_categorical(u: float, p0: float) -> int:
+    """Action 0 or 1 from a uniform variate u in [0, 1) and the probability p0 of action 0.
 
     Action 1 when p0 <= u, else action 0; a NaN p0 gives action 0. Equal to
     the inverse-CDF rule min(searchsorted(cumsum([p0, p1]), u, "right"), 1)
@@ -72,7 +76,7 @@ def sample_categorical(rng: np.random.Generator, p0: float) -> int:
     the numpy float64 p0 the rollout passes, the comparison is a numpy bool,
     and int() of one costs more than testing it.
     """
-    return 1 if p0 <= rng.random() else 0
+    return 1 if p0 <= u else 0
 
 
 def _log_softmax2(logits: np.ndarray) -> tuple[float, float]:
@@ -100,15 +104,15 @@ def _log_softmax2(logits: np.ndarray) -> tuple[float, float]:
     return s0 - lse, s1 - lse
 
 
-def _sample_and_step(state: CartPoleState, logits: np.ndarray, rng: np.random.Generator):
-    """Sample an action from the policy's logits and step the environment with it.
+def _sample_and_step(state: CartPoleState, logits: np.ndarray, u: float):
+    """Sample an action from the policy's logits with the uniform u and step the environment.
 
     Shared by collect_rollout and evaluate. Returns (step result, action,
     log-probability of the action). Nothing here checks the logits for
     finiteness; collect_rollout does so once per rollout.
     """
     log_p = _log_softmax2(logits)
-    action = sample_categorical(rng, np.exp(log_p[0]))
+    action = sample_categorical(u, np.exp(log_p[0]))
     return step(state, action), action, log_p[action]
 
 
@@ -134,6 +138,7 @@ def collect_rollout(
         raise ValueError(f"CartPole has two actions, got action_count={config.action_count}")
     unpacked = unpack_params(params, config)
 
+    uniforms = action_rng.random(horizon).tolist()
     state, running_return = cursor
     completed: list[float] = []
     rows = []  # (obs, action, log-prob, value, logits, reward, terminated, truncated)
@@ -142,7 +147,7 @@ def collect_rollout(
         obs = state.as_obs()
         logits, value = forward_single(unpacked, obs)
         (next_state, reward, term, trunc), action, log_prob = _sample_and_step(
-            state, logits, action_rng
+            state, logits, uniforms[t]
         )
         rows.append((obs, action, log_prob, value, logits, reward, term, trunc))
         running_return += reward

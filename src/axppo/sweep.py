@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .net import _require_int
+from .net import _require_int, _write_text_atomic
 from .train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train, write_update_log
 
 __all__ = ["SweepSpec", "RunResult", "plan_runs", "run_sweep", "render_results", "RUNS_CSV_HEADER"]
@@ -206,8 +206,8 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
               file=sys.stderr)
 
     if results:
-        (out_dir / "runs.csv").write_text(render_results(results, "csv"))
-        (out_dir / "table.md").write_text(render_results(results, "markdown"))
+        _write_text_atomic(out_dir / "runs.csv", render_results(results, "csv"))
+        _write_text_atomic(out_dir / "table.md", render_results(results, "markdown"))
     if failed:
         raise failed[min(failed)]
     return results

@@ -25,7 +25,14 @@ import numpy as np
 from .adaptive import MODES, ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
 from .cartpole import reset
 from .loss import LossBreakdown, TrainingDiverged, ppo_update
-from .net import NetworkConfig, _require_int, forward_single, init_params, unpack_params
+from .net import (
+    NetworkConfig,
+    _require_int,
+    _write_text_atomic,
+    forward_single,
+    init_params,
+    unpack_params,
+)
 from .optim import init_adam_state
 from .rollout import _sample_and_step, collect_rollout, compute_gae
 
@@ -195,7 +202,8 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
         total = 0.0
         while True:
             logits = forward_single(unpacked, state.as_obs(), with_value=False)
-            state, reward, terminated, truncated = _sample_and_step(state, logits, rng)[0]
+            # one draw per step: rng also feeds reset, so the draws cannot be taken at once
+            state, reward, terminated, truncated = _sample_and_step(state, logits, rng.random())[0]
             total += reward
             if terminated or truncated:
                 break
@@ -212,6 +220,7 @@ def write_update_log(records: tuple[UpdateRecord, ...], path: str | Path) -> Non
     """Per-run log: one comma-separated row per update under a fixed header.
 
     Every float is written with repr, so it parses back to the exact value.
+    The file is replaced atomically (see net._write_text_atomic).
     """
     lines = [LOG_HEADER]
     for r in records:
@@ -221,4 +230,4 @@ def write_update_log(records: tuple[UpdateRecord, ...], path: str | Path) -> Non
                      + ",".join(repr(float(x)) for x in floats))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    _write_text_atomic(path, "\n".join(lines) + "\n")

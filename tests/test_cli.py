@@ -1,4 +1,6 @@
 import importlib
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +91,46 @@ def test_train_eval_round_trip(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "mean return" in stdout
     assert "per-episode:" in stdout
+
+
+@pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt"])
+def test_train_refuses_an_output_directory_that_holds_a_run(tmp_path, capsys, monkeypatch, name):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / name).write_text("earlier run\n")
+    trained = []
+    monkeypatch.setattr(importlib.import_module("axppo.cli"), "train", trained.append)
+    assert main(["train", "--total-steps", "256", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(out / name) in err[0]
+    assert trained == []
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text() == "earlier run\n"
+
+
+ONE_RUN_SWEEP = ["sweep", "--coefs", "0.2", "--taus", "1", "--seeds", "1", "--no-standard"]
+ONE_RUN_LOG = "logs/run_adaptive_0.2_1_1.csv"
+
+
+@pytest.mark.parametrize("argv, name, left", [
+    (["train"], "log.csv", []),
+    (["train"], "checkpoint.txt", ["log.csv"]),
+    (ONE_RUN_SWEEP, "runs.csv", ["logs", ONE_RUN_LOG]),
+    (ONE_RUN_SWEEP, "table.md", ["logs", ONE_RUN_LOG, "runs.csv"]),
+])
+def test_failed_write_leaves_no_partial_or_temporary_file(tmp_path, monkeypatch, argv, name, left):
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == name:
+            raise OSError(f"cannot write {dst}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match=f"cannot write .*{name}"):
+        main(argv + ["--total-steps", "256", "--out", str(out)])
+    assert [p.relative_to(out).as_posix() for p in sorted(out.rglob("*"))] == left
 
 
 def test_train_reports_divergence(tmp_path, capsys, monkeypatch):

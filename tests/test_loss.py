@@ -319,7 +319,10 @@ def test_ppo_update_rejects_minibatch_size_below_one(minibatch_size):
 
 
 def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
-    calls = {"loss_output_gradients": 0, "loss_breakdown": 0}
+    # each public function of the minibatch step runs once per minibatch, looked up in
+    # axppo.loss's globals: a faster step must not route around one of them
+    calls = {"loss_output_gradients": 0, "loss_breakdown": 0, "forward": 0, "backprop": 0,
+             "adam_step": 0}
 
     def counted(name):
         fn = getattr(axppo.loss, name)
@@ -340,8 +343,9 @@ def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
         rng.standard_normal(64), 0.1, epochs=epochs,
         minibatch_size=minibatch_size, lr=1e-3, rng=np.random.default_rng(0),
     )
-    assert calls == {"loss_output_gradients": epochs * 64 // minibatch_size,
-                     "loss_breakdown": 0}
+    minibatches = epochs * 64 // minibatch_size
+    assert calls == {"loss_output_gradients": minibatches, "loss_breakdown": 0,
+                     "forward": minibatches, "backprop": minibatches, "adam_step": minibatches}
     assert isinstance(summary, LossBreakdown)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from axppo.net import (
     NetworkConfig,
+    _write_text_atomic,
     backprop,
     forward,
     forward_single,
@@ -198,6 +199,15 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path2 = tmp_path / "checkpoint2.txt"
     save_checkpoint(path2, cfg2, params2)
     assert path.read_text() == path2.read_text()
+
+
+def test_failed_write_keeps_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "checkpoint.txt"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate cannot be encoded
+        _write_text_atomic(path, "0x1.0p+0\n" * 10_000 + "\ud800")
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_checkpoint_rejects_wrong_length(tmp_path):

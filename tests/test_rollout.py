@@ -234,18 +234,6 @@ def test_non_finite_network_output_names_first_bad_step(monkeypatch, bad):
         collect(params, 16)
 
 
-class FixedUniform:
-    """Stands in for a Generator whose random() always returns u; counts the draws."""
-
-    def __init__(self, u):
-        self.u = u
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.u
-
-
 def searchsorted_rule(probs, u):
     return min(int(np.searchsorted(np.cumsum(probs), u, side="right")), len(probs) - 1)
 
@@ -268,13 +256,21 @@ U_MAX = np.nextafter(1.0, 0.0)
 @example(p0=0.2, p1=np.nan, u=0.5)
 @example(p0=np.nan, p1=0.2, u=0.0)
 def test_two_action_sampler_matches_clamped_searchsorted(p0, p1, u):
-    # the rollout passes a numpy float64 (np.exp of a Python float); check both scalar types
+    # the rollout passes a numpy float64 p0 (np.exp of a Python float); check both scalar types
     for p in (p0, np.float64(p0)):
-        rng = FixedUniform(u)
-        action = sample_categorical(rng, p)
+        action = sample_categorical(u, p)
         assert action == searchsorted_rule(np.array([p0, p1]), u)
         assert type(action) is int
-        assert rng.draws == 1
+
+
+def test_rollout_takes_exactly_horizon_action_draws():
+    params = init_params(NET, np.random.default_rng(1))
+    action_rng = np.random.default_rng(7)
+    collect_rollout(params, NET, fresh_cursor(), 100, action_rng=action_rng,
+                    env_rng=np.random.default_rng(8))
+    fresh = np.random.default_rng(7)
+    fresh.random(100)
+    assert action_rng.bit_generator.state == fresh.bit_generator.state
 
 
 def assert_log_softmax2_matches(logits):
