@@ -126,8 +126,9 @@ def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
     write_update_log(result.records, out / "log.csv")
     save_checkpoint(out / "checkpoint.txt", config.net_config(), result.params)
     if result.diverged:
-        print(f"training diverged after {len(result.records)} updates: {result.error}")
-        print(f"partial log: {out / 'log.csv'}")
+        print(f"training diverged after {len(result.records)} updates: {result.error}",
+              file=sys.stderr)
+        print(f"partial log: {out / 'log.csv'}", file=sys.stderr)
         return 1
 
     report = evaluate(result.params, config, np.random.default_rng(config.seed + SEED_OFFSET_EVAL))
@@ -159,10 +160,11 @@ def cmd_eval(ns: argparse.Namespace, config: TrainConfig) -> int:
     try:
         net_config, params = load_checkpoint(ns.checkpoint)
     except (OSError, ValueError) as exc:
-        print(f"cannot load checkpoint: {exc}")
+        print(f"cannot load checkpoint: {exc}", file=sys.stderr)
         return 1
     if net_config != config.net_config():
-        print(f"checkpoint architecture {net_config} is not the CartPole actor-critic")
+        print(f"checkpoint architecture {net_config} is not the CartPole actor-critic",
+              file=sys.stderr)
         return 1
     report = evaluate(params, config, np.random.default_rng(ns.seed))
     print(f"mean return {report.mean_return:.1f} over {ns.episodes} episodes (std {report.std:.1f})")

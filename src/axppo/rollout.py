@@ -20,8 +20,12 @@ value it stores, and takes the rollout's horizon uniforms in one
 action_rng.random(horizon) (the same doubles, and the same generator state
 after, as one scalar draw per step); evaluate calls
 forward_single(..., with_value=False), which skips the value head nobody
-reads there, and draws one uniform per step from its generator, which also
-feeds reset. The log-softmax does its comparison, shifts, sum and
+reads there. Its generator also feeds reset, so after each reset it draws
+the most uniforms an episode can use (MAX_EPISODE_STEPS) in one call, and
+when the episode ends after k steps it restores the generator's state from
+before that call and draws k: each step sees the uniform of one scalar draw
+per step, and reset and the caller see the generator where k scalar draws
+leave it. The log-softmax does its comparison, shifts, sum and
 subtractions on Python floats, which IEEE-754 rounds exactly as numpy does,
 and leaves only exp and log to numpy, whose SIMD loops round differently
 from the math module; a Python float op costs less per step than the same op

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,6 +164,12 @@ def _execute_run(config: TrainConfig, log_path: Path) -> RunResult:
 def run_sweep(spec: SweepSpec) -> list[RunResult]:
     """Execute every run in the spec, then write runs.csv and table.md.
 
+    As each run lands, runs.csv is rewritten with the runs finished so far, in
+    the order they finished, and one progress line goes to stderr: the run,
+    its eval return and wall time, and an estimate of the time left (the
+    median run time so far x runs left / parallelism). A sweep that is stopped
+    keeps the rows of its finished runs.
+
     A run that raises does not stop the others. Once all have ended, the
     reports are written for the finished runs, in grid order, and the first
     failed run's exception (in grid order) is re-raised. An output_dir that
@@ -175,14 +182,27 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
             raise FileExistsError(f"{path} exists: {out_dir} already holds a sweep")
     (out_dir / "logs").mkdir(parents=True)
 
-    finished: dict[int, RunResult] = {}
+    finished: dict[int, RunResult] = {}  # in the order the runs finished
     failed: dict[int, Exception] = {}
+
+    def land(i: int, run: Callable[[], RunResult]) -> None:
+        try:
+            r = finished[i] = run()
+        except Exception as exc:
+            failed[i] = exc
+            return
+        _write_text_atomic(out_dir / "runs.csv", _render_csv(finished.values()))
+        ended = len(finished) + len(failed)
+        times = sorted(f.wall_time_s for f in finished.values())  # np.median would load numpy.ma
+        median_s = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2
+        eta = median_s * (len(plans) - ended) / spec.parallelism
+        print(f"[{ended}/{len(plans)}] {_describe(plans[i])}: eval return "
+              f"{r.final_mean_return:.1f}, {r.wall_time_s:.1f} s, ETA {eta:.0f} s",
+              file=sys.stderr)
+
     if spec.parallelism == 1:
         for i, config in enumerate(plans):
-            try:
-                finished[i] = _execute_run(config, _log_path(out_dir, config))
-            except Exception as exc:
-                failed[i] = exc
+            land(i, lambda: _execute_run(config, _log_path(out_dir, config)))
     else:
         # imported here: the pool pulls in multiprocessing, which serial runs never need
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -191,10 +211,7 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
             futures = {pool.submit(_execute_run, c, _log_path(out_dir, c)): i
                        for i, c in enumerate(plans)}
             for future in as_completed(futures):
-                try:
-                    finished[futures[future]] = future.result()
-                except Exception as exc:
-                    failed[futures[future]] = exc
+                land(futures[future], future.result)
     results = [finished[i] for i in sorted(finished)]
 
     for i in sorted(finished):
@@ -222,18 +239,22 @@ def render_results(results: list[RunResult], format: str) -> str:
     if not results:
         raise ValueError("no results to render")
     if format == "csv":
-        lines = [RUNS_CSV_HEADER]
-        for r in results:
-            tau = "" if r.tau is None else str(r.tau)
-            lines.append(
-                f"{r.mode},{float(r.c2_base)!r},{tau},{r.seed},"
-                f"{r.final_mean_return:.17g},{r.wall_time_s:.17g},"
-                f"{'true' if r.diverged else 'false'}"
-            )
-        return "\n".join(lines) + "\n"
+        return _render_csv(results)
     if format == "markdown":
         return _render_markdown(results)
     raise ValueError(f"format must be 'csv' or 'markdown', got {format!r}")
+
+
+def _render_csv(results: Iterable[RunResult]) -> str:
+    lines = [RUNS_CSV_HEADER]
+    for r in results:
+        tau = "" if r.tau is None else str(r.tau)
+        lines.append(
+            f"{r.mode},{float(r.c2_base)!r},{tau},{r.seed},"
+            f"{r.final_mean_return:.17g},{r.wall_time_s:.17g},"
+            f"{'true' if r.diverged else 'false'}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _render_markdown(results: list[RunResult]) -> str:

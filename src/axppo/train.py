@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .adaptive import MODES, ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
-from .cartpole import reset
+from .cartpole import MAX_EPISODE_STEPS, reset
 from .loss import LossBreakdown, TrainingDiverged, ppo_update
 from .net import (
     NetworkConfig,
@@ -199,14 +199,21 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
     returns = []
     for _ in range(config.eval_episodes):
         state = reset(rng)
+        # rng also feeds the next reset: draw the most uniforms an episode can use, then
+        # rewind and redraw the k it used, which leaves rng where k scalar draws would
+        saved = rng.bit_generator.state
+        uniforms = rng.random(MAX_EPISODE_STEPS).tolist()
         total = 0.0
+        k = 0
         while True:
             logits = forward_single(unpacked, state.as_obs(), with_value=False)
-            # one draw per step: rng also feeds reset, so the draws cannot be taken at once
-            state, reward, terminated, truncated = _sample_and_step(state, logits, rng.random())[0]
+            state, reward, terminated, truncated = _sample_and_step(state, logits, uniforms[k])[0]
+            k += 1
             total += reward
             if terminated or truncated:
                 break
+        rng.bit_generator.state = saved
+        rng.random(k)
         returns.append(total)
     arr = np.asarray(returns)
     return EvalReport(

@@ -10,15 +10,23 @@ The reference_* functions are the plain numpy forms of the minibatch step
 correction on every step), op for op in the order the package computes them.
 The package calls the ufuncs and BLAS entry points directly, and must give
 the same bytes; they skip the input checks.
+
+reference_evaluate is evaluate drawing one uniform per step from its
+generator. The package draws an episode's uniforms in one call and rewinds
+the generator to the draws the episode used; the returns and the generator's
+state afterwards must be the same.
 """
 
 from typing import Callable
 
 import numpy as np
 
+from axppo.cartpole import reset
 from axppo.loss import CLIP_EPSILON, VALUE_COEF, LossBreakdown, log_softmax
-from axppo.net import ForwardTrace, NetworkOutput, _layer_views, unpack_params
+from axppo.net import ForwardTrace, NetworkOutput, _layer_views, forward_single, unpack_params
 from axppo.optim import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
+from axppo.rollout import _sample_and_step
+from axppo.train import EvalReport
 
 
 def categorical_entropy(logits: np.ndarray) -> float | np.ndarray:
@@ -153,3 +161,22 @@ def reference_adam_step(params, grads, state, lr):
     new_params /= scratch
     np.subtract(params, new_params, out=new_params)
     return new_params, AdamState(first_moment=m, second_moment=v, step_count=t)
+
+
+def reference_evaluate(params, config, rng):
+    unpacked = unpack_params(params, config.net_config())
+    returns = []
+    for _ in range(config.eval_episodes):
+        state = reset(rng)
+        total = 0.0
+        while True:
+            logits = forward_single(unpacked, state.as_obs(), with_value=False)
+            state, reward, terminated, truncated = _sample_and_step(state, logits, rng.random())[0]
+            total += reward
+            if terminated or truncated:
+                break
+        returns.append(total)
+    arr = np.asarray(returns)
+    return EvalReport(
+        mean_return=float(arr.mean()), per_episode_returns=tuple(returns), std=float(arr.std())
+    )

@@ -7,7 +7,7 @@ import pytest
 
 from axppo.cli import build_parser, main, sweep_spec_from_args, train_config_from_args
 from axppo.loss import TrainingDiverged
-from axppo.net import load_checkpoint, save_checkpoint
+from axppo.net import NetworkConfig, load_checkpoint, save_checkpoint
 from axppo.train import TrainConfig
 
 
@@ -146,7 +146,12 @@ def test_train_reports_divergence(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(train_mod, "ppo_update", flaky_update)
     out = tmp_path / "run"
     assert main(["train", "--total-steps", "768", "--out", str(out)]) == 1
-    assert "training diverged after 1 updates: synthetic blow-up" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "training diverged after 1 updates: synthetic blow-up",
+        f"partial log: {out / 'log.csv'}",
+    ]
     assert len((out / "log.csv").read_text().splitlines()) == 1 + 1  # header + one update
     cfg, params = load_checkpoint(out / "checkpoint.txt")
     assert params.shape == (cfg.param_count,)
@@ -205,4 +210,16 @@ def test_eval_reports_unloadable_checkpoint(tmp_path, capsys):
     no_field.write_text('{"obs_dim": 4}\n' + bad.read_text().split("\n", 1)[1])
     for path in (bad, tmp_path / "missing.ckpt", no_field):
         assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
-        assert "cannot load checkpoint: " in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot load checkpoint: " in captured.err
+
+
+def test_eval_reports_a_foreign_architecture_on_stderr(tmp_path, capsys):
+    cfg = NetworkConfig(obs_dim=4, hidden_sizes=(8,), action_count=2)
+    path = tmp_path / "small.ckpt"
+    save_checkpoint(path, cfg, np.zeros(cfg.param_count))
+    assert main(["eval", "--checkpoint", str(path), "--episodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not the CartPole actor-critic" in captured.err

@@ -110,6 +110,45 @@ def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, parallelism):
     assert "axPPO tau=2" in (tmp_path / "table.md").read_text()
 
 
+def test_interrupted_sweep_keeps_the_rows_it_finished(tmp_path, monkeypatch):
+    # runs.csv is rewritten as each run lands, so a stopped sweep keeps its finished rows
+    spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
+                     output_dir=tmp_path, **TINY)
+    k, started = 2, []
+
+    def interrupted_after_k(config, log_path):
+        started.append(config)
+        if len(started) == k + 1:
+            raise KeyboardInterrupt
+        return _execute_run(config, log_path)
+
+    monkeypatch.setattr(axppo.sweep, "_execute_run", interrupted_after_k)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(spec)
+    rows = list(csv.DictReader((tmp_path / "runs.csv").read_text().splitlines()))
+    assert [(r["mode"], float(r["c2"]), int(r["seed"])) for r in rows] \
+        == [(c.mode, c.c2_base, c.seed) for c in plan_runs(spec)[:k]]
+    assert not (tmp_path / "table.md").exists()
+
+
+def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
+    # one line per finished run; the ETA is the median run time so far x runs left
+    def timed_run(config, log_path):
+        wall = {0.0: 2.0, 0.3: 4.0}[config.c2_base] * (2 if config.mode == "adaptive" else 1)
+        return RunResult(config.mode, config.c2_base, None, config.seed, 100.0 + wall, wall,
+                         str(log_path))
+
+    monkeypatch.setattr(axppo.sweep, "_execute_run", timed_run)
+    spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
+                     output_dir=tmp_path, **TINY)
+    run_sweep(spec)
+    assert capsys.readouterr().err.splitlines() == [
+        "[1/3] standard c2=0 tau=None seed=1: eval return 102.0, 2.0 s, ETA 4 s",
+        "[2/3] standard c2=0.3 tau=None seed=1: eval return 104.0, 4.0 s, ETA 3 s",
+        "[3/3] adaptive c2=0.3 tau=2 seed=1: eval return 108.0, 8.0 s, ETA 0 s",
+    ]
+
+
 @pytest.mark.parametrize("entry, make", [("runs.csv", Path.touch), ("logs", Path.mkdir)])
 def test_sweep_refuses_before_writing_anything(tmp_path, entry, make):
     make(tmp_path / entry)

@@ -6,7 +6,7 @@ import pytest
 
 import axppo.loss
 import axppo.rollout
-from axppo.net import unpack_params
+from axppo.net import init_params, unpack_params
 from axppo.train import (
     LOG_HEADER,
     TrainConfig,
@@ -14,6 +14,7 @@ from axppo.train import (
     train,
     write_update_log,
 )
+from oracles import reference_evaluate
 
 FAST = dict(total_env_steps=512, eval_episodes=3)
 
@@ -189,13 +190,82 @@ def test_evaluate_single_episode():
 
 def test_evaluate_hand_built_always_right_policy():
     cfg = TrainConfig(total_env_steps=512, eval_episodes=5)
-    net = cfg.net_config()
-    params = np.zeros(net.param_count)
-    layers = unpack_params(params, net)
-    layers[-2][1][:] = [-20.0, 20.0]  # policy head bias: always push right
-    report = evaluate(params, cfg, np.random.default_rng(2))
+    report = evaluate(_policy("always_right"), cfg, np.random.default_rng(2))
     assert all(1.0 <= r < 500.0 for r in report.per_episode_returns)
     assert report.mean_return < 50.0  # the pole falls quickly
+
+
+def _policy(kind: str) -> np.ndarray:
+    """Evaluation policies whose episodes end early, at random, and at the time limit."""
+    net = TrainConfig().net_config()
+    if kind == "untrained":
+        return init_params(net, np.random.default_rng(9))
+    params = np.zeros(net.param_count)
+    layers = unpack_params(params, net)
+    if kind == "always_right":
+        layers[-2][1][:] = [-20.0, 20.0]  # policy head bias: the pole falls in about ten steps
+    else:  # "balancing": push towards the lean, theta + theta_dot / 2; lasts 500 steps
+        layers[0][0][:, 0] = [0.0, 0.0, 50.0, 25.0]
+        layers[1][0][0, 0] = 3.0
+        layers[-2][0][0] = [-20.0, 20.0]
+    return params
+
+
+def _same_state(a, b) -> bool:
+    """bit_generator.state equality; MT19937 keeps its key as an array."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("policy", ["always_right", "untrained", "balancing"])
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_evaluate_matches_one_draw_per_step(policy, bit_generator):
+    # evaluate draws an episode's uniforms at once and rewinds its generator to the draws
+    # the episode used: the returns and the generator it hands back are those of one draw
+    # per step, so reset and the caller's next draw see the same numbers
+    params = _policy(policy)
+    lengths = set()
+    for episodes in range(1, 6):
+        cfg = TrainConfig(eval_episodes=episodes)
+        rng, ref_rng = (np.random.Generator(bit_generator(40 + episodes)) for _ in range(2))
+        report = evaluate(params, cfg, rng)
+        assert report == reference_evaluate(params, cfg, ref_rng)
+        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        lengths.update(report.per_episode_returns)
+    if policy == "always_right":
+        assert max(lengths) < 20
+    elif policy == "balancing":
+        assert lengths == {500.0}
+    else:
+        assert 20 < max(lengths) < 500
+
+
+def test_evaluate_calls_each_public_function_once_per_step(monkeypatch):
+    # the counts the eval_checkpoint benchmark fixes, looked up where evaluate and
+    # _sample_and_step find them: a faster evaluation must not route around one of them
+    train_mod = importlib.import_module("axppo.train")
+    sites = {"forward_single": train_mod, "reset": train_mod,
+             "sample_categorical": axppo.rollout, "step": axppo.rollout}
+    calls = dict.fromkeys(sites, 0)
+
+    def counted(name):
+        fn = getattr(sites[name], name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in sites.items():
+        monkeypatch.setattr(module, name, counted(name))
+    cfg = TrainConfig(eval_episodes=4)
+    report = evaluate(_policy("untrained"), cfg, np.random.default_rng(3))
+    steps = int(sum(report.per_episode_returns))  # one unit of reward per step
+    assert calls == {"forward_single": steps, "reset": 4, "sample_categorical": steps,
+                     "step": steps}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
