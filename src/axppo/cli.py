@@ -116,6 +116,9 @@ def sweep_spec_from_args(ns: argparse.Namespace) -> SweepSpec:
 
 def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
     out: Path = ns.out
+    if out.exists() and not out.is_dir():
+        print(f"train: {out} exists and is not a directory", file=sys.stderr)
+        return 1
     for path in (out / "log.csv", out / "checkpoint.txt"):
         if path.exists():  # refuse before training, as a sweep refuses its output_dir
             print(f"train: {path} exists: {out} already holds a run", file=sys.stderr)

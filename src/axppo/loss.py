@@ -10,14 +10,15 @@ ratio to [1 - CLIP_EPSILON, 1 + CLIP_EPSILON]. c2_effective is whatever
 coefficient applies this update: the configured value in standard mode, or the
 return-scaled value in adaptive mode. It is frozen for the whole update.
 
-Finiteness checks. loss_output_gradients rejects a NaN or infinite input with
-a ValueError that names it, through one isfinite over all five inputs joined
-(exact, and silent on infinities). ppo_update checks the inputs that are fixed
-for the whole update (buffer.log_probs, the normalized advantages,
-value_targets) once, before its first minibatch; per minibatch it relies on
-loss_output_gradients for the network output, checks the loss itself, and
-relies on adam_step for the gradient. Every non-finite value found inside
-ppo_update raises TrainingDiverged.
+Finiteness checks. Every non-finite number is reported where it is found, as
+TrainingDiverged (defined in axppo.optim, a ValueError, re-exported here).
+loss_output_gradients raises it for a NaN or infinite input and names the
+input, through one isfinite over all five inputs joined (exact, and silent on
+infinities). ppo_update checks the inputs that are fixed for the whole update
+(buffer.log_probs, the normalized advantages, value_targets) once, before its
+first minibatch; per minibatch it leaves the network output to
+loss_output_gradients, checks the loss itself, and leaves the gradient to
+adam_step. Argument errors (shapes, the schedule, lr) are plain ValueErrors.
 
 loss_output_gradients runs once per minibatch on small arrays, so its cost
 is mostly dispatch. It calls ufuncs directly and gives the same bits as the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import NetworkConfig, NetworkOutput, _require_int, backprop, forward
-from .optim import AdamState, _NonFiniteGradient, adam_step
+from .optim import AdamState, TrainingDiverged, adam_step
 
 __all__ = [
     "TrainingDiverged",
@@ -58,15 +59,6 @@ ADV_TARGET_STD = 2.0
 # The fixed PPO recipe's clip range and value-loss weight.
 CLIP_EPSILON = 0.2
 VALUE_COEF = 0.25
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a rollout or update produces non-finite numbers."""
-
-
-class _NonFiniteInput(ValueError):
-    """loss_output_gradients' error for a NaN or infinite input; ppo_update turns it into
-    TrainingDiverged."""
 
 
 @dataclass(frozen=True)
@@ -134,7 +126,7 @@ def loss_output_gradients(
         for name, arr in (("logits", logits), ("values", values), ("old_log_probs", old_log_probs),
                           ("advantages", advantages), ("value_targets", value_targets)):
             if not np.isfinite(arr).all():
-                raise _NonFiniteInput(f"non-finite entries in {name}")
+                raise TrainingDiverged(f"non-finite entries in {name}")
 
     rows = np.arange(n)
     log_p = log_softmax(logits)
@@ -204,8 +196,8 @@ def ppo_update(
     Raises TrainingDiverged on non-finite numbers: the inputs that are fixed
     for the whole update (buffer.log_probs, the normalized advantages,
     value_targets) are checked once before the first minibatch; the network
-    output through loss_output_gradients' own check; the loss of every
-    minibatch here; its gradient through adam_step's own check.
+    output by loss_output_gradients; the loss of every minibatch here; its
+    gradient by adam_step.
     """
     _require_int("epochs", epochs)
     _require_int("minibatch_size", minibatch_size)
@@ -224,13 +216,10 @@ def ppo_update(
 
     adv = ADV_TARGET_STD * (advantages - advantages.mean()) / (advantages.std() + ADV_NORM_EPS)
 
-    def _diverged(what: str) -> TrainingDiverged:
-        return TrainingDiverged(f"non-finite {what} during ppo update")
-
     for name, arr in (("buffer.log_probs", old_log_probs), ("advantages", adv),
                       ("value_targets", value_targets)):
         if not np.isfinite(arr).all():
-            raise _diverged(name)
+            raise TrainingDiverged(f"non-finite {name} during ppo update")
 
     last_epoch: list[LossBreakdown] = []
     for epoch in range(epochs):
@@ -242,20 +231,13 @@ def ppo_update(
         for start in range(0, horizon, minibatch_size):
             mb = slice(start, start + minibatch_size)
             outputs, trace = forward(params, config, obs_e[mb])
-            try:
-                breakdown, d_logits, d_values = loss_output_gradients(
-                    outputs, actions_e[mb], log_probs_e[mb], adv_e[mb], targets_e[mb],
-                    c2_effective,
-                )
-            except _NonFiniteInput as exc:  # only the network output is left unchecked
-                raise TrainingDiverged(f"{exc} during ppo update") from exc
+            breakdown, d_logits, d_values = loss_output_gradients(
+                outputs, actions_e[mb], log_probs_e[mb], adv_e[mb], targets_e[mb], c2_effective
+            )
             if not math.isfinite(breakdown.total):
-                raise _diverged("loss")
+                raise TrainingDiverged("non-finite loss during ppo update")
             grads = backprop(config, trace, d_logits, d_values)
-            try:
-                params, adam_state = adam_step(params, grads, adam_state, lr)
-            except _NonFiniteGradient as exc:
-                raise _diverged("gradient") from exc
+            params, adam_state = adam_step(params, grads, adam_state, lr)
             if is_last:
                 last_epoch.append(breakdown)
 

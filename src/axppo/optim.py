@@ -1,9 +1,9 @@
 """Adam on flat parameter vectors.
 
-adam_step rejects a non-finite gradient with a ValueError. It is the only
-check of the gradient in training: ppo_update turns that error (a private
-subclass, told apart from adam_step's lr and shape errors) into
-TrainingDiverged.
+TrainingDiverged, the one exception for non-finite numbers met in training,
+is defined here, in the lowest module that raises it; it is a ValueError.
+adam_step raises it for a non-finite gradient, which is the only check of the
+gradient in training. Its lr and shape errors are plain ValueErrors.
 
 The bias correction c1 = 1 - ADAM_BETA1**t rounds to exactly 1.0 from t = 356
 on (0.9**356 is below 2**-54, half the gap from 1.0 down to the next double),
@@ -20,16 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AdamState", "init_adam_state", "adam_step"]
+__all__ = ["TrainingDiverged", "AdamState", "init_adam_state", "adam_step"]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class _NonFiniteGradient(ValueError):
-    """adam_step's error for a NaN or infinite gradient; ppo_update turns it into
-    TrainingDiverged."""
+class TrainingDiverged(ValueError):
+    """Raised when a rollout or update produces non-finite numbers."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def adam_step(
     if not (math.isfinite(lr) and lr > 0.0):
         raise ValueError(f"lr must be > 0 and finite, got {lr}")
     if not np.isfinite(grads).all():
-        raise _NonFiniteGradient("non-finite gradient entries; update rejected")
+        raise TrainingDiverged("non-finite gradient entries; update rejected")
 
     # the float operations of m = b1 * m + (1 - b1) * g, v = b2 * v + (1 - b2) * g * g and
     # params - lr * m_hat / (sqrt(v_hat) + eps), in that order, computed in place on

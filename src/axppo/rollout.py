@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartpole import CartPoleState, reset, step
-from .loss import TrainingDiverged
 from .net import NetworkConfig, forward_single, unpack_params
+from .optim import TrainingDiverged
 
 __all__ = ["RolloutBuffer", "sample_categorical", "collect_rollout", "compute_gae"]
 
@@ -146,7 +146,7 @@ def collect_rollout(
     state, running_return = cursor
     completed: list[float] = []
     rows = []  # (obs, action, log-prob, value, logits, reward, terminated, truncated)
-    truncation_values = {}  # row -> value of the state the time limit cut off
+    next_values = np.zeros(horizon)
     for t in range(horizon):
         obs = state.as_obs()
         logits, value = forward_single(unpacked, obs)
@@ -160,7 +160,8 @@ def collect_rollout(
             completed.append(running_return)
             running_return = 0.0
             if trunc:
-                truncation_values[t] = forward_single(unpacked, next_state.as_obs())[1]
+                # the value of the state the time limit cut off
+                next_values[t] = forward_single(unpacked, next_state.as_obs())[1]
             state = reset(env_rng)
         else:
             state = next_state
@@ -175,11 +176,8 @@ def collect_rollout(
     truncated = np.array(truncated)
 
     # successor values: the next row's value inside an episode, 0.0 on termination
-    next_values = np.zeros(horizon)
     inside = ~(terminated[:-1] | truncated[:-1])
     next_values[:-1][inside] = values[1:][inside]
-    for t, v in truncation_values.items():
-        next_values[t] = v
 
     if not (terminated[-1] or truncated[-1]):
         next_values[-1] = forward_single(unpacked, state.as_obs())[1]

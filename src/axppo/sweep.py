@@ -173,10 +173,13 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
     A run that raises does not stop the others. Once all have ended, the
     reports are written for the finished runs, in grid order, and the first
     failed run's exception (in grid order) is re-raised. An output_dir that
-    already holds runs.csv or logs/ raises FileExistsError before anything is written.
+    is not a directory, or already holds runs.csv or logs/, raises
+    FileExistsError before anything is written.
     """
     plans = plan_runs(spec)
     out_dir = Path(spec.output_dir)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise FileExistsError(f"{out_dir} exists and is not a directory")
     for path in (out_dir / "runs.csv", out_dir / "logs"):
         if path.exists():
             raise FileExistsError(f"{path} exists: {out_dir} already holds a sweep")

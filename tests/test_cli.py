@@ -184,6 +184,23 @@ def test_sweep_refuses_an_output_directory_that_holds_a_sweep(tmp_path, capsys):
     assert [p.name for p in (out / "logs").iterdir()] == ["run_adaptive_0.2_1_1.csv"]
 
 
+@pytest.mark.parametrize("command", [["train"], ONE_RUN_SWEEP])
+def test_an_output_path_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch, command):
+    out = tmp_path / "F"
+    out.write_text("not a directory\n")
+    cli = importlib.import_module("axppo.cli")
+    trained = []
+    monkeypatch.setattr(cli, "train", trained.append)
+    monkeypatch.setattr(importlib.import_module("axppo.sweep"), "_execute_run",
+                        lambda *args: trained.append(args))
+    assert main(command + ["--total-steps", "256", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and str(out) in err[0]
+    assert trained == []
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+    assert out.read_text() == "not a directory\n"
+
+
 def test_sweep_standard_log_matches_train_log(tmp_path):
     steps = ["--total-steps", str(4 * 256)]  # g_recent depends on tau from the second update
     assert main(["sweep", "--coefs", "0.3", "--taus", "2", "--seeds", "1", "--base-seed", "4",

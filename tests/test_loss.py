@@ -18,7 +18,7 @@ from axppo.loss import (
     ppo_update,
 )
 from axppo.net import NetworkConfig, NetworkOutput, backprop, forward, init_params
-from axppo.optim import init_adam_state
+from axppo.optim import adam_step, init_adam_state
 from axppo.rollout import RolloutBuffer
 
 from oracles import action_log_prob, categorical_entropy, finite_diff_gradient
@@ -381,7 +381,7 @@ def test_ppo_update_diverges_on_nan_buffer():
     cfg, params, buffer = _synthetic_buffer(rng)
     bad_params = params.copy()
     bad_params[-1] = np.inf  # value-head bias: reaches the output unsquashed
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match="^non-finite entries in values$"):
         ppo_update(bad_params, cfg, init_adam_state(cfg.param_count), buffer,
                    rng.standard_normal(64), rng.standard_normal(64),
                    0.0, epochs=1, minibatch_size=32, lr=1e-3,
@@ -398,7 +398,7 @@ def test_ppo_update_diverges_on_non_finite_gradient(monkeypatch):
         return grads
 
     monkeypatch.setattr(axppo.loss, "backprop", nan_backprop)
-    with pytest.raises(TrainingDiverged, match="^non-finite gradient during ppo update$"):
+    with pytest.raises(TrainingDiverged, match="^non-finite gradient entries; update rejected$"):
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
                    rng.standard_normal(64), rng.standard_normal(64), 0.0, epochs=1,
                    minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
@@ -425,6 +425,46 @@ def test_ppo_update_checks_fixed_inputs_before_first_minibatch(monkeypatch, name
                    inputs["advantages"], inputs["value_targets"], 0.0, epochs=1,
                    minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
     assert forward_calls == []
+
+
+@pytest.mark.parametrize("site", ["loss_output_gradients", "adam_step", "network output",
+                                  "gradient", "fixed input"])
+def test_every_non_finite_site_raises_training_diverged(monkeypatch, site):
+    rng = np.random.default_rng(9)
+    cfg, params, buffer = _synthetic_buffer(rng)
+    advantages = rng.standard_normal(64)
+
+    def nan_forward(*args):
+        outputs, trace = forward(*args)
+        outputs.logits[0, 0] = np.nan
+        return outputs, trace
+
+    def nan_backprop(*args):
+        grads = backprop(*args)
+        grads[3] = np.nan
+        return grads
+
+    def update():
+        ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer, advantages,
+                   rng.standard_normal(64), 0.0, epochs=1, minibatch_size=32, lr=1e-3,
+                   rng=np.random.default_rng(0))
+
+    call = update
+    if site == "loss_output_gradients":
+        outputs, inputs = _two_sample_inputs(values=np.array([0.0, np.nan]))
+        call = lambda: loss_output_gradients(outputs, np.array([0, 1]), c2_effective=0.0,
+                                             **inputs)
+    elif site == "adam_step":
+        call = lambda: adam_step(np.zeros(2), np.array([1.0, np.nan]), init_adam_state(2), 1e-3)
+    elif site == "network output":
+        monkeypatch.setattr(axppo.loss, "forward", nan_forward)
+    elif site == "gradient":
+        monkeypatch.setattr(axppo.loss, "backprop", nan_backprop)
+    else:
+        advantages[3] = np.nan
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is TrainingDiverged
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3])
