@@ -116,14 +116,15 @@ def sweep_spec_from_args(ns: argparse.Namespace) -> SweepSpec:
 
 def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
     out: Path = ns.out
-    if out.exists() and not out.is_dir():
-        print(f"train: {out} exists and is not a directory", file=sys.stderr)
-        return 1
     for path in (out / "log.csv", out / "checkpoint.txt"):
         if path.exists():  # refuse before training, as a sweep refuses its output_dir
             print(f"train: {path} exists: {out} already holds a run", file=sys.stderr)
             return 1
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        print(f"train: {out} is not a directory, or lies under a file", file=sys.stderr)
+        return 1
 
     result = train(config)
     write_update_log(result.records, out / "log.csv")
@@ -149,7 +150,7 @@ def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
 def cmd_sweep(ns: argparse.Namespace, spec: SweepSpec) -> int:
     try:
         results = run_sweep(spec)
-    except FileExistsError as exc:  # the output directory already holds a sweep
+    except FileExistsError as exc:  # output_dir is not a directory or holds a sweep
         print(f"sweep: {exc}", file=sys.stderr)
         return 1
     ok = [r for r in results if not r.diverged]

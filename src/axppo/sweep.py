@@ -167,23 +167,26 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
     As each run lands, runs.csv is rewritten with the runs finished so far, in
     the order they finished, and one progress line goes to stderr: the run,
     its eval return and wall time, and an estimate of the time left (the
-    median run time so far x runs left / parallelism). A sweep that is stopped
-    keeps the rows of its finished runs.
+    median run time so far x runs left / workers). A sweep that is stopped
+    keeps the rows of its finished runs. It starts min(parallelism, runs)
+    workers; parallelism 1 runs every run in this process.
 
     A run that raises does not stop the others. Once all have ended, the
     reports are written for the finished runs, in grid order, and the first
     failed run's exception (in grid order) is re-raised. An output_dir that
-    is not a directory, or already holds runs.csv or logs/, raises
-    FileExistsError before anything is written.
+    is not a directory, lies under a file, or already holds runs.csv or logs/
+    raises FileExistsError before anything is written.
     """
     plans = plan_runs(spec)
+    workers = min(spec.parallelism, len(plans))
     out_dir = Path(spec.output_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise FileExistsError(f"{out_dir} exists and is not a directory")
     for path in (out_dir / "runs.csv", out_dir / "logs"):
         if path.exists():
             raise FileExistsError(f"{path} exists: {out_dir} already holds a sweep")
-    (out_dir / "logs").mkdir(parents=True)
+    try:
+        (out_dir / "logs").mkdir(parents=True)
+    except NotADirectoryError as exc:
+        raise FileExistsError(f"{out_dir} is not a directory, or lies under a file") from exc
 
     finished: dict[int, RunResult] = {}  # in the order the runs finished
     failed: dict[int, Exception] = {}
@@ -198,7 +201,7 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
         ended = len(finished) + len(failed)
         times = sorted(f.wall_time_s for f in finished.values())  # np.median would load numpy.ma
         median_s = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2
-        eta = median_s * (len(plans) - ended) / spec.parallelism
+        eta = median_s * (len(plans) - ended) / workers
         print(f"[{ended}/{len(plans)}] {_describe(plans[i])}: eval return "
               f"{r.final_mean_return:.1f}, {r.wall_time_s:.1f} s, ETA {eta:.0f} s",
               file=sys.stderr)
@@ -210,7 +213,7 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
         # imported here: the pool pulls in multiprocessing, which serial runs never need
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_execute_run, c, _log_path(out_dir, c)): i
                        for i, c in enumerate(plans)}
             for future in as_completed(futures):

@@ -184,10 +184,11 @@ def test_sweep_refuses_an_output_directory_that_holds_a_sweep(tmp_path, capsys):
     assert [p.name for p in (out / "logs").iterdir()] == ["run_adaptive_0.2_1_1.csv"]
 
 
-@pytest.mark.parametrize("command", [["train"], ONE_RUN_SWEEP])
-def test_an_output_path_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch, command):
-    out = tmp_path / "F"
-    out.write_text("not a directory\n")
+def assert_refused_untouched(tmp_path, capsys, monkeypatch, command, out):
+    """`command --out out`, with tmp_path/F an existing file, prints one stderr line naming
+    out and exits 1, and trains and writes nothing."""
+    file = tmp_path / "F"
+    file.write_text("not a directory\n")
     cli = importlib.import_module("axppo.cli")
     trained = []
     monkeypatch.setattr(cli, "train", trained.append)
@@ -198,7 +199,17 @@ def test_an_output_path_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch,
     assert len(err) == 1 and str(out) in err[0]
     assert trained == []
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
-    assert out.read_text() == "not a directory\n"
+    assert file.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", [["train"], ONE_RUN_SWEEP])
+def test_an_output_path_that_is_a_file_is_refused(tmp_path, capsys, monkeypatch, command):
+    assert_refused_untouched(tmp_path, capsys, monkeypatch, command, tmp_path / "F")
+
+
+@pytest.mark.parametrize("command", [["train"], ONE_RUN_SWEEP])
+def test_an_output_path_under_a_file_is_refused(tmp_path, capsys, monkeypatch, command):
+    assert_refused_untouched(tmp_path, capsys, monkeypatch, command, tmp_path / "F" / "sub")
 
 
 def test_sweep_standard_log_matches_train_log(tmp_path):

@@ -1,8 +1,11 @@
+import concurrent.futures
 import csv
+import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +152,34 @@ def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("seeds, workers, etas", [
+    (1, 1, ["ETA 0 s"]),
+    (3, 3, ["ETA 4 s", "ETA 2 s", "ETA 0 s"]),  # 6 s x runs left / 3 workers
+])
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch, capsys,
+                                                seeds, workers, etas):
+    # a pool started with the fork method starts all its workers at the first submit
+    started = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    def run(config, log_path):
+        return RunResult(config.mode, config.c2_base, config.tau, config.seed, 100.0, 6.0,
+                         str(log_path))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(axppo.sweep, "_execute_run", run)
+    results = run_sweep(SweepSpec(coefficient_grid=(0.3,), tau_grid=(2,), seeds_per_cell=seeds,
+                                  include_standard=False, parallelism=4, output_dir=tmp_path,
+                                  **TINY))
+    assert started == [workers] and len(results) == seeds
+    err = capsys.readouterr().err.splitlines()
+    assert [line.rsplit(", ", 1)[1] for line in err] == etas
+
+
 @pytest.mark.parametrize("entry, make", [("runs.csv", Path.touch), ("logs", Path.mkdir)])
 def test_sweep_refuses_before_writing_anything(tmp_path, entry, make):
     make(tmp_path / entry)
@@ -290,9 +321,31 @@ def test_render_csv_keeps_full_coefficient_precision():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only run_sweep with parallelism > 1 needs concurrent.futures.process (and multiprocessing)
-    code = "import sys, axppo; print('concurrent.futures.process' in sys.modules)"
+    # only run_sweep with parallelism > 1 needs concurrent.futures.process (and multiprocessing);
+    # a plain import loads neither the sweep layer nor the CLI, and the sweep names load
+    # axppo.sweep on first use without rebinding axppo.train or being stored in the package
+    code = textwrap.dedent("""
+        import json, sys, types
+        import axppo
+        lazy = ("axppo.sweep", "axppo.cli", "concurrent.futures.process")
+        facts = {"loaded by import": [m for m in lazy if m in sys.modules]}
+        facts["run_sweep"] = axppo.run_sweep is axppo.sweep.run_sweep
+        from axppo import SweepSpec
+        facts["SweepSpec"] = SweepSpec is axppo.sweep.SweepSpec
+        facts["train is a function"] = isinstance(axppo.train, types.FunctionType)
+        facts["stored"] = [n for n in ("run_sweep", "SweepSpec") if n in vars(axppo)]
+        try:
+            axppo.no_such_name
+        except AttributeError as exc:
+            facts["missing"] = str(exc)
+        facts["pool loaded"] = "concurrent.futures.process" in sys.modules
+        print(json.dumps(facts))
+    """)
     src = str(Path(axppo.sweep.__file__).parents[1])  # the directory holding the package
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == {
+        "loaded by import": [], "run_sweep": True, "SweepSpec": True,
+        "train is a function": True, "stored": [],
+        "missing": "module 'axppo' has no attribute 'no_such_name'", "pool loaded": False,
+    }

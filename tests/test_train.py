@@ -123,6 +123,17 @@ def test_standard_mode_ignores_tau():
         == evaluate(r50.params, cfg, np.random.default_rng(12)).per_episode_returns
 
 
+@pytest.mark.parametrize("a, b", [(1, 5), (5, 12), (12, 200)])
+def test_a_shorter_window_is_a_prefix_of_a_longer_one(a, b):
+    # windows of a and b > a returns hold the same entries until update a, when the shorter
+    # one first evicts, so every update before it is shared bit for bit
+    short, long = (train(TrainConfig(mode="adaptive", c2_base=0.8, tau=tau, seed=2,
+                                     total_env_steps=(a + 1) * 256)).records
+                   for tau in (a, b))
+    assert short[:a] == long[:a]
+    assert short[a].g_recent != long[a].g_recent
+
+
 def test_divergence_aborts_with_marker(monkeypatch):
     calls = {"n": 0}
     real_update = axppo.loss.ppo_update
