@@ -6,11 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .net import load_checkpoint, save_checkpoint
 from .sweep import DEFAULT_COEFFICIENTS, DEFAULT_TAUS, SweepSpec, run_sweep
-from .train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train, write_update_log
+from .train import TrainConfig, evaluate, run_rng, train, write_update_log
 
 __all__ = ["build_parser", "train_config_from_args", "sweep_spec_from_args", "main"]
 
@@ -85,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parameter checkpoint written by `train`")
     p_eval.add_argument("--episodes", type=int, default=20,
                         help="evaluation episodes (default: 20)")
-    p_eval.add_argument("--seed", type=_seed, default=1, help="evaluation seed (default: 1)")
+    p_eval.add_argument("--seed", type=_seed, default=1,
+                        help="draw from the eval stream of the run with this seed, as"
+                             " `train --seed` does (default: 1)")
     p_eval.set_defaults(func=cmd_eval,
                         settings=lambda ns: TrainConfig(eval_episodes=ns.episodes))
     return parser
@@ -135,7 +135,7 @@ def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
         print(f"partial log: {out / 'log.csv'}", file=sys.stderr)
         return 1
 
-    report = evaluate(result.params, config, np.random.default_rng(config.seed + SEED_OFFSET_EVAL))
+    report = evaluate(result.params, config, run_rng(config.seed, "eval"))
     print(
         f"{config.mode} c2={config.c2_base:g}"
         + (f" tau={config.tau}" if config.mode == "adaptive" else "")
@@ -170,7 +170,7 @@ def cmd_eval(ns: argparse.Namespace, config: TrainConfig) -> int:
         print(f"checkpoint architecture {net_config} is not the CartPole actor-critic",
               file=sys.stderr)
         return 1
-    report = evaluate(params, config, np.random.default_rng(ns.seed))
+    report = evaluate(params, config, run_rng(ns.seed, "eval"))
     print(f"mean return {report.mean_return:.1f} over {ns.episodes} episodes (std {report.std:.1f})")
     print("per-episode:", " ".join(f"{r:.0f}" for r in report.per_episode_returns))
     return 0

@@ -18,7 +18,8 @@ infinities). ppo_update checks the inputs that are fixed for the whole update
 (buffer.log_probs, the normalized advantages, value_targets) once, before its
 first minibatch; per minibatch it leaves the network output to
 loss_output_gradients, checks the loss itself, and leaves the gradient to
-adam_step. Argument errors (shapes, the schedule, lr) are plain ValueErrors.
+adam_step. Argument errors (shapes, a horizon MINIBATCH_SIZE does not divide)
+are plain ValueErrors.
 
 loss_output_gradients runs once per minibatch on small arrays, so its cost
 is mostly dispatch. It calls ufuncs directly and gives the same bits as the
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import NetworkConfig, NetworkOutput, _require_int, backprop, forward
+from .net import NetworkConfig, NetworkOutput, backprop, forward
 from .optim import AdamState, TrainingDiverged, adam_step
 
 __all__ = [
@@ -56,9 +57,12 @@ ADV_NORM_EPS = 1e-8
 # 2.0 keeps small coefficients harmless while large ones still dominate.
 ADV_TARGET_STD = 2.0
 
-# The fixed PPO recipe's clip range and value-loss weight.
+# The fixed PPO recipe: clip range, value-loss weight, and the update schedule.
 CLIP_EPSILON = 0.2
 VALUE_COEF = 0.25
+EPOCHS = 10
+MINIBATCH_SIZE = 64
+LEARNING_RATE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -69,12 +73,12 @@ class LossBreakdown:
     total: float
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log softmax along the given axis."""
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable log softmax along the last axis."""
     logits = np.asarray(logits, dtype=np.float64)
     # the ufunc reductions behind .max/.sum, called without the methods' Python wrappers
-    shifted = logits - np.maximum.reduce(logits, axis=axis, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def loss_output_gradients(
@@ -181,12 +185,9 @@ def ppo_update(
     value_targets: np.ndarray,
     c2_effective: float,
     *,
-    epochs: int,
-    minibatch_size: int,
-    lr: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, AdamState, LossBreakdown]:
-    """Epochs of shuffled minibatch gradient steps over one rollout buffer.
+    """EPOCHS epochs of shuffled MINIBATCH_SIZE gradient steps over one rollout buffer.
 
     Advantages are normalized once (mean 0, std ADV_TARGET_STD) before the
     epoch loop, so every epoch sees the same values. Returns the updated
@@ -199,15 +200,9 @@ def ppo_update(
     output by loss_output_gradients; the loss of every minibatch here; its
     gradient by adam_step.
     """
-    _require_int("epochs", epochs)
-    _require_int("minibatch_size", minibatch_size)
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if minibatch_size < 1:
-        raise ValueError(f"minibatch_size must be >= 1, got {minibatch_size}")
     horizon = len(buffer.rewards)
-    if horizon % minibatch_size != 0:
-        raise ValueError(f"minibatch_size {minibatch_size} must divide horizon {horizon}")
+    if horizon % MINIBATCH_SIZE != 0:
+        raise ValueError(f"minibatch size {MINIBATCH_SIZE} must divide horizon {horizon}")
     advantages = np.asarray(advantages, dtype=np.float64)
     value_targets = np.asarray(value_targets, dtype=np.float64)
     old_log_probs = np.asarray(buffer.log_probs, dtype=np.float64)
@@ -222,14 +217,14 @@ def ppo_update(
             raise TrainingDiverged(f"non-finite {name} during ppo update")
 
     last_epoch: list[LossBreakdown] = []
-    for epoch in range(epochs):
+    for epoch in range(EPOCHS):
         order = rng.permutation(horizon)
-        is_last = epoch == epochs - 1
+        is_last = epoch == EPOCHS - 1
         # one gather per epoch; each minibatch is then a contiguous slice of it
         obs_e, actions_e = buffer.obs[order], buffer.actions[order]
         log_probs_e, adv_e, targets_e = old_log_probs[order], adv[order], value_targets[order]
-        for start in range(0, horizon, minibatch_size):
-            mb = slice(start, start + minibatch_size)
+        for start in range(0, horizon, MINIBATCH_SIZE):
+            mb = slice(start, start + MINIBATCH_SIZE)
             outputs, trace = forward(params, config, obs_e[mb])
             breakdown, d_logits, d_values = loss_output_gradients(
                 outputs, actions_e[mb], log_probs_e[mb], adv_e[mb], targets_e[mb], c2_effective
@@ -237,7 +232,7 @@ def ppo_update(
             if not math.isfinite(breakdown.total):
                 raise TrainingDiverged("non-finite loss during ppo update")
             grads = backprop(config, trace, d_logits, d_values)
-            params, adam_state = adam_step(params, grads, adam_state, lr)
+            params, adam_state = adam_step(params, grads, adam_state, LEARNING_RATE)
             if is_last:
                 last_epoch.append(breakdown)
 

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .net import _require_int, _write_text_atomic
-from .train import SEED_OFFSET_EVAL, TrainConfig, evaluate, train, write_update_log
+from .train import TrainConfig, evaluate, run_rng, train, write_update_log
 
 __all__ = ["SweepSpec", "RunResult", "plan_runs", "run_sweep", "render_results", "RUNS_CSV_HEADER"]
 
@@ -143,10 +143,7 @@ def _execute_run(config: TrainConfig, log_path: Path) -> RunResult:
     if result.diverged:
         final = float("nan")
     else:
-        report = evaluate(
-            result.params, config, np.random.default_rng(config.seed + SEED_OFFSET_EVAL)
-        )
-        final = report.mean_return
+        final = evaluate(result.params, config, run_rng(config.seed, "eval")).mean_return
     wall = time.perf_counter() - start
     write_update_log(result.records, log_path)
     return RunResult(

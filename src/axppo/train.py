@@ -1,16 +1,10 @@
 """One full training run: rollouts, return window, coefficient, PPO updates, logging.
 
-A run is fully deterministic given its seed. The master seed derives four
-independent generator streams via fixed offsets so components can be
-reproduced in isolation:
-
-    seed + 0  parameter initialization
-    seed + 1  environment resets
-    seed + 2  action sampling
-    seed + 3  minibatch shuffling
-
-(Evaluation, which is not part of train(), conventionally uses seed + 4; see
-the sweep module.)
+A run is fully deterministic given its seed. run_rng derives each of the run's
+random streams from the seed: init (parameter initialization), env
+(environment resets), actions (action sampling) and shuffle (minibatch
+shuffling) feed train(); eval feeds the run's evaluation, which the sweep and
+the CLI make after training.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ import numpy as np
 
 from .adaptive import MODES, ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
 from .cartpole import MAX_EPISODE_STEPS, reset
-from .loss import LossBreakdown, TrainingDiverged, ppo_update
+from .loss import EPOCHS, MINIBATCH_SIZE, LossBreakdown, TrainingDiverged, ppo_update
 from .net import (
     NetworkConfig,
     _require_int,
@@ -45,18 +39,10 @@ __all__ = [
     "evaluate",
     "write_update_log",
     "LOG_HEADER",
-    "SEED_OFFSET_INIT",
-    "SEED_OFFSET_ENV",
-    "SEED_OFFSET_ACTIONS",
-    "SEED_OFFSET_SHUFFLE",
-    "SEED_OFFSET_EVAL",
+    "run_rng",
 ]
 
-SEED_OFFSET_INIT = 0
-SEED_OFFSET_ENV = 1
-SEED_OFFSET_ACTIONS = 2
-SEED_OFFSET_SHUFFLE = 3
-SEED_OFFSET_EVAL = 4
+_STREAMS = ("init", "env", "actions", "shuffle", "eval")
 
 LOG_HEADER = (
     "update,env_steps,batch_mean_return,g_recent,c2_effective,"
@@ -69,7 +55,8 @@ class TrainConfig:
     """Settings of one run. Defaults are the configuration every experiment uses.
 
     The PPO recipe is the same for every run: the class constants below, the
-    network of net_config(), and the loss constants of axppo.loss.
+    network of net_config(), and the schedule and loss constants of axppo.loss
+    (epochs and minibatch_size below are EPOCHS and MINIBATCH_SIZE).
     """
 
     mode: str = "standard"
@@ -80,9 +67,8 @@ class TrainConfig:
     eval_episodes: int = 20
 
     horizon: ClassVar[int] = 256
-    epochs: ClassVar[int] = 10
-    minibatch_size: ClassVar[int] = 64  # divides horizon
-    lr: ClassVar[float] = 1e-3
+    epochs: ClassVar[int] = EPOCHS
+    minibatch_size: ClassVar[int] = MINIBATCH_SIZE  # divides horizon
     gamma: ClassVar[float] = 0.98
     gae_lambda: ClassVar[float] = 0.95
 
@@ -125,8 +111,11 @@ class UpdateRecord:
 class TrainResult:
     params: np.ndarray
     records: tuple[UpdateRecord, ...]
-    diverged: bool = False
-    error: str | None = None
+    error: str | None = None  # why training stopped early; None for a finished run
+
+    @property
+    def diverged(self) -> bool:
+        return self.error is not None
 
 
 @dataclass(frozen=True)
@@ -136,15 +125,23 @@ class EvalReport:
     std: float
 
 
+def run_rng(seed: int, stream: str) -> np.random.Generator:
+    """A fresh generator for one named stream of the run with this seed.
+
+    stream is one of init, env, actions, shuffle and eval. The same (seed,
+    stream) always gives the same generator, in every cell of a sweep.
+    """
+    return np.random.default_rng(seed + _STREAMS.index(stream))
+
+
 def train(config: TrainConfig) -> TrainResult:
     """Run the configured number of updates; on divergence, stop and mark the result."""
     net = config.net_config()
-    init_rng = np.random.default_rng(config.seed + SEED_OFFSET_INIT)
-    env_rng = np.random.default_rng(config.seed + SEED_OFFSET_ENV)
-    action_rng = np.random.default_rng(config.seed + SEED_OFFSET_ACTIONS)
-    shuffle_rng = np.random.default_rng(config.seed + SEED_OFFSET_SHUFFLE)
+    env_rng = run_rng(config.seed, "env")
+    action_rng = run_rng(config.seed, "actions")
+    shuffle_rng = run_rng(config.seed, "shuffle")
 
-    params = init_params(net, init_rng)
+    params = init_params(net, run_rng(config.seed, "init"))
     adam_state = init_adam_state(net.param_count)
     window = ReturnWindow(capacity=config.tau)
     cursor = (reset(env_rng), 0.0)
@@ -165,13 +162,12 @@ def train(config: TrainConfig) -> TrainResult:
             advantages, value_targets = compute_gae(buffer, config.gamma, config.gae_lambda)
             params, adam_state, breakdown = ppo_update(
                 params, net, adam_state, buffer, advantages, value_targets, c2_eff,
-                epochs=config.epochs, minibatch_size=config.minibatch_size,
-                lr=config.lr, rng=shuffle_rng,
+                rng=shuffle_rng,
             )
             if not np.isfinite(params).all():
                 raise TrainingDiverged(f"non-finite parameters after update {t}")
         except TrainingDiverged as exc:
-            return TrainResult(params=params, records=tuple(records), diverged=True, error=str(exc))
+            return TrainResult(params=params, records=tuple(records), error=str(exc))
         records.append(
             UpdateRecord(
                 update_index=t,

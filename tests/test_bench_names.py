@@ -5,13 +5,18 @@ functions (tracer.public_functions). A metric whose function is gone or no
 longer public reads as absent rather than failing, so a change that routes
 around a measured function would otherwise show only in a --trace 1 run.
 Its workloads also read TrainConfig and SweepSpec attributes; a renamed one
-would otherwise show only as a crash in a benchmark run.
+would otherwise show only as a crash in a benchmark run. The benchmark
+seeds a run's evaluation itself, so a change to run_rng's eval stream would
+otherwise show only as failed output checks.
 """
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import axppo
+from axppo.train import run_rng
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +59,34 @@ def test_workloads_build_and_count_calls(monkeypatch, tmp_path):
     # 4 runs x 15360/256 updates x 10 epochs x 4 minibatches
     assert expected["sweep_grid"]["net.forward"] == 4 * 60 * 10 * 4
     assert expected["sweep_grid"]["cartpole.step"] == 4 * 60 * 256 + 300
+
+
+def test_benchmark_evaluates_a_run_on_its_eval_stream(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    seen = []
+
+    class Package:  # what train_run calls, without the training
+        TrainConfig = axppo.TrainConfig
+
+        @staticmethod
+        def train(config):
+            return axppo.TrainResult(params=np.zeros(1), records=())
+
+        @staticmethod
+        def evaluate(params, config, rng):
+            seen.append((config.seed, rng.random(8)))
+            return axppo.EvalReport(mean_return=0.0, per_episode_returns=(0.0,), std=0.0)
+
+    class Sampler:
+        @staticmethod
+        def timed(fn):
+            return fn(), 0.0, 0.0
+
+    workload = run.make_workload("train_run", Package, seed=1, work=tmp_path, references={},
+                                 trace=False)
+    for j in range(4):
+        workload.op(j, Sampler)
+    assert len({seed for seed, _ in seen}) == 4
+    for seed, draws in seen:
+        assert np.array_equal(draws, run_rng(seed, "eval").random(8)), seed

@@ -1,12 +1,13 @@
 import importlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from axppo.cli import build_parser, main, sweep_spec_from_args, train_config_from_args
-from axppo.loss import TrainingDiverged
+from axppo.loss import LEARNING_RATE, TrainingDiverged
 from axppo.net import NetworkConfig, load_checkpoint, save_checkpoint
 from axppo.train import TrainConfig
 
@@ -21,7 +22,7 @@ def test_train_flag_mapping():
     cfg = train_config_from_args(ns)
     assert cfg == TrainConfig(mode="adaptive", c2_base=0.8, tau=50, seed=7)
     # everything else stays at the documented defaults
-    assert cfg.horizon == 256 and cfg.epochs == 10 and cfg.lr == 1e-3
+    assert cfg.horizon == 256 and cfg.epochs == 10 and LEARNING_RATE == 1e-3
 
 
 def test_train_defaults():
@@ -79,8 +80,7 @@ def test_train_eval_round_trip(tmp_path, capsys):
     assert code == 0
     assert (out / "log.csv").exists()
     assert (out / "checkpoint.txt").exists()
-    stdout = capsys.readouterr().out
-    assert "eval mean return" in stdout
+    trained_mean = re.search(r"eval mean return (\S+) ", capsys.readouterr().out).group(1)
 
     cfg, params = load_checkpoint(out / "checkpoint.txt")
     assert params.shape == (cfg.param_count,)
@@ -91,6 +91,10 @@ def test_train_eval_round_trip(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "mean return" in stdout
     assert "per-episode:" in stdout
+
+    # the same seed and episode count evaluate on the run's own eval stream, as train did
+    assert main(["eval", "--checkpoint", str(out / "checkpoint.txt"), "--seed", "3"]) == 0
+    assert capsys.readouterr().out.startswith(f"mean return {trained_mean} over 20 episodes")
 
 
 @pytest.mark.parametrize("name", ["log.csv", "checkpoint.txt"])

@@ -26,7 +26,7 @@ import numpy as np
 
 from axppo.cartpole import CartPoleState
 from axppo.rollout import RolloutBuffer, collect_rollout
-from axppo.train import SEED_OFFSET_EVAL, TrainConfig, UpdateRecord, evaluate, train
+from axppo.train import TrainConfig, UpdateRecord, evaluate, run_rng, train
 
 RUNS = {
     "adaptive-0.8": TrainConfig(mode="adaptive", c2_base=0.8, total_env_steps=2560, seed=1),
@@ -128,7 +128,7 @@ def digests(name: str) -> dict:
 
 def eval_returns() -> tuple[float, ...]:
     config = RUNS[POLICY_RUN]
-    rng = np.random.default_rng(config.seed + SEED_OFFSET_EVAL)
+    rng = run_rng(config.seed, "eval")
     return evaluate(trained(POLICY_RUN).params, config, rng).per_episode_returns
 
 

@@ -1,5 +1,4 @@
 import math
-import re
 import warnings
 
 import numpy as np
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 import axppo.loss
 from axppo.loss import (
     CLIP_EPSILON,
+    EPOCHS,
+    MINIBATCH_SIZE,
     LossBreakdown,
     TrainingDiverged,
     log_softmax,
@@ -272,49 +273,13 @@ def _synthetic_buffer(rng, horizon=64, obs_dim=4):
     )
 
 
-@pytest.mark.parametrize("epochs", [0, -1])
-def test_ppo_update_rejects_epochs_below_one(epochs):
+def test_ppo_update_rejects_a_horizon_the_minibatch_size_does_not_divide():
     rng = np.random.default_rng(5)
-    cfg, params, buffer = _synthetic_buffer(rng)
-    adv, targets = rng.standard_normal(64), rng.standard_normal(64)
-    with pytest.raises(ValueError, match="epochs must be >= 1"):
+    cfg, params, buffer = _synthetic_buffer(rng, horizon=96)
+    with pytest.raises(ValueError, match=f"minibatch size {MINIBATCH_SIZE} must divide horizon 96"):
         ppo_update(
-            params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
-            0.1, epochs=epochs, minibatch_size=32, lr=1e-3,
-            rng=np.random.default_rng(0),
-        )
-
-
-@pytest.mark.parametrize("schedule", [
-    dict(epochs=1.5), dict(epochs=True),
-    dict(minibatch_size=32.0), dict(minibatch_size=np.float64(32)),
-])
-def test_ppo_update_rejects_non_integer_schedule(schedule):
-    # floats used to raise TypeError from range(); True ran as one epoch
-    rng = np.random.default_rng(5)
-    cfg, params, buffer = _synthetic_buffer(rng)
-    adv, targets = rng.standard_normal(64), rng.standard_normal(64)
-    (name, value), = schedule.items()
-    message = rf"^{name} must be an integer, got {re.escape(repr(value))}$"
-    with pytest.raises(ValueError, match=message):
-        ppo_update(
-            params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
-            0.1, **{"epochs": 1, "minibatch_size": 32, **schedule}, lr=1e-3,
-            rng=np.random.default_rng(0),
-        )
-
-
-@pytest.mark.parametrize("minibatch_size", [0, -64])
-def test_ppo_update_rejects_minibatch_size_below_one(minibatch_size):
-    # 0 used to raise ZeroDivisionError; -64 ran no minibatch and returned a NaN breakdown
-    rng = np.random.default_rng(5)
-    cfg, params, buffer = _synthetic_buffer(rng)
-    adv, targets = rng.standard_normal(64), rng.standard_normal(64)
-    with pytest.raises(ValueError, match="minibatch_size must be >= 1"):
-        ppo_update(
-            params, cfg, init_adam_state(cfg.param_count), buffer, adv, targets,
-            0.1, epochs=1, minibatch_size=minibatch_size, lr=1e-3,
-            rng=np.random.default_rng(0),
+            params, cfg, init_adam_state(cfg.param_count), buffer, rng.standard_normal(96),
+            rng.standard_normal(96), 0.1, rng=np.random.default_rng(0),
         )
 
 
@@ -337,13 +302,11 @@ def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
         monkeypatch.setattr(axppo.loss, name, counted(name))
     rng = np.random.default_rng(5)
     cfg, params, buffer = _synthetic_buffer(rng)
-    epochs, minibatch_size = 3, 16
     _, _, summary = ppo_update(
         params, cfg, init_adam_state(cfg.param_count), buffer, rng.standard_normal(64),
-        rng.standard_normal(64), 0.1, epochs=epochs,
-        minibatch_size=minibatch_size, lr=1e-3, rng=np.random.default_rng(0),
+        rng.standard_normal(64), 0.1, rng=np.random.default_rng(0),
     )
-    minibatches = epochs * 64 // minibatch_size
+    minibatches = EPOCHS * 64 // MINIBATCH_SIZE
     assert calls == {"loss_output_gradients": minibatches, "loss_breakdown": 0,
                      "forward": minibatches, "backprop": minibatches, "adam_step": minibatches}
     assert isinstance(summary, LossBreakdown)
@@ -369,7 +332,7 @@ def test_ppo_update_decreases_loss_on_fixed_buffer():
         before = total_loss(params)
         new_params, _, _ = ppo_update(
             params, cfg, init_adam_state(cfg.param_count), buffer, raw_adv, targets,
-            c2, epochs=1, minibatch_size=32, lr=1e-3, rng=np.random.default_rng(seed),
+            c2, rng=np.random.default_rng(seed),
         )
         if total_loss(new_params) < before:
             wins += 1
@@ -384,8 +347,7 @@ def test_ppo_update_diverges_on_nan_buffer():
     with pytest.raises(TrainingDiverged, match="^non-finite entries in values$"):
         ppo_update(bad_params, cfg, init_adam_state(cfg.param_count), buffer,
                    rng.standard_normal(64), rng.standard_normal(64),
-                   0.0, epochs=1, minibatch_size=32, lr=1e-3,
-                   rng=np.random.default_rng(0))
+                   0.0, rng=np.random.default_rng(0))
 
 
 def test_ppo_update_diverges_on_non_finite_gradient(monkeypatch):
@@ -400,8 +362,8 @@ def test_ppo_update_diverges_on_non_finite_gradient(monkeypatch):
     monkeypatch.setattr(axppo.loss, "backprop", nan_backprop)
     with pytest.raises(TrainingDiverged, match="^non-finite gradient entries; update rejected$"):
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
-                   rng.standard_normal(64), rng.standard_normal(64), 0.0, epochs=1,
-                   minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
+                   rng.standard_normal(64), rng.standard_normal(64), 0.0,
+                   rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("name", ["advantages", "value_targets", "buffer.log_probs"])
@@ -422,8 +384,8 @@ def test_ppo_update_checks_fixed_inputs_before_first_minibatch(monkeypatch, name
         inputs[name][5] = np.nan
     with pytest.raises(TrainingDiverged, match=f"non-finite {name} "):
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
-                   inputs["advantages"], inputs["value_targets"], 0.0, epochs=1,
-                   minibatch_size=32, lr=1e-3, rng=np.random.default_rng(0))
+                   inputs["advantages"], inputs["value_targets"], 0.0,
+                   rng=np.random.default_rng(0))
     assert forward_calls == []
 
 
@@ -446,8 +408,7 @@ def test_every_non_finite_site_raises_training_diverged(monkeypatch, site):
 
     def update():
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer, advantages,
-                   rng.standard_normal(64), 0.0, epochs=1, minibatch_size=32, lr=1e-3,
-                   rng=np.random.default_rng(0))
+                   rng.standard_normal(64), 0.0, rng=np.random.default_rng(0))
 
     call = update
     if site == "loss_output_gradients":
@@ -465,14 +426,3 @@ def test_every_non_finite_site_raises_training_diverged(monkeypatch, site):
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is TrainingDiverged
-
-
-@pytest.mark.parametrize("lr", [0.0, -1e-3])
-def test_ppo_update_rejects_non_positive_lr_as_value_error(lr):
-    rng = np.random.default_rng(9)
-    cfg, params, buffer = _synthetic_buffer(rng)
-    with pytest.raises(ValueError, match="lr must be > 0") as exc:
-        ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
-                   rng.standard_normal(64), rng.standard_normal(64), 0.0, epochs=1,
-                   minibatch_size=32, lr=lr, rng=np.random.default_rng(0))
-    assert not isinstance(exc.value, TrainingDiverged)
