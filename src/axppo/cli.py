@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+from .adaptive import MODES
 from .net import load_checkpoint, save_checkpoint
-from .sweep import DEFAULT_COEFFICIENTS, DEFAULT_TAUS, SweepSpec, run_sweep
+from .sweep import SweepSpec, run_sweep
 from .train import TrainConfig, evaluate, run_rng, train, write_update_log
 
-__all__ = ["build_parser", "train_config_from_args", "sweep_spec_from_args", "main"]
+__all__ = ["build_parser", "settings_from_args", "main"]
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -27,17 +29,13 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
-    return value
+def _commas(values: tuple[float, ...]) -> str:
+    return ",".join(f"{v:g}" for v in values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags of each subcommand are named by the TrainConfig or SweepSpec field they
+    set (their dest), and take that field's default."""
     parser = argparse.ArgumentParser(
         prog="axppo",
         description="Train PPO / adaptive-entropy PPO on a built-in CartPole simulator.",
@@ -45,73 +43,64 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training configuration")
-    p_train.add_argument("--algo", choices=["standard", "adaptive"], default="standard",
-                         help="entropy schedule (default: standard)")
-    p_train.add_argument("--entropy-coef", type=float, default=0.0,
-                         help="base entropy coefficient c2 (default: 0.0)")
-    p_train.add_argument("--tau", type=int, default=50,
-                         help="return-window length in updates, adaptive mode (default: 50)")
-    p_train.add_argument("--seed", type=_seed, default=1, help="master seed (default: 1)")
-    p_train.add_argument("--total-steps", type=int, default=60_000,
-                         help="environment steps to train for (default: 60000)")
+    p_train.add_argument("--algo", dest="mode", choices=MODES, default=TrainConfig.mode,
+                         help="entropy schedule (default: %(default)s)")
+    p_train.add_argument("--entropy-coef", dest="c2_base", type=float,
+                         default=TrainConfig.c2_base, metavar="ENTROPY_COEF",
+                         help="base entropy coefficient c2 (default: %(default)s)")
+    p_train.add_argument("--tau", type=int, default=TrainConfig.tau, help="return-window"
+                         " length in updates, adaptive mode (default: %(default)s)")
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed,
+                         help="master seed (default: %(default)s)")
+    p_train.add_argument("--total-steps", dest="total_env_steps", type=int,
+                         default=TrainConfig.total_env_steps, metavar="TOTAL_STEPS",
+                         help="environment steps to train for (default: %(default)s)")
     p_train.add_argument("--out", type=Path, default=Path("runs/train"),
                          help="output directory for log.csv and checkpoint.txt")
-    p_train.set_defaults(func=cmd_train, settings=train_config_from_args)
+    p_train.set_defaults(func=cmd_train, settings=TrainConfig)
 
     p_sweep = sub.add_parser("sweep", help="run the full coefficient x tau grid")
-    p_sweep.add_argument("--coefs", type=_float_list,
-                         default=DEFAULT_COEFFICIENTS, metavar="C1,C2,...",
-                         help="entropy coefficient grid (default: 0,0.1,0.3,0.5,0.8)")
-    p_sweep.add_argument("--taus", type=_int_list, default=DEFAULT_TAUS, metavar="T1,T2,...",
-                         help="window-length grid (default: 1,10,20,50,100,200)")
-    p_sweep.add_argument("--seeds", type=int, default=3,
-                         help="seeds per grid cell (default: 3)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="concurrent runs (default: 1)")
-    p_sweep.add_argument("--out", type=Path, default=Path("runs/sweep"),
-                         help="output directory for runs.csv, table.md and logs/")
-    p_sweep.add_argument("--base-seed", type=_seed, default=1,
-                         help="first seed of every cell (default: 1)")
-    p_sweep.add_argument("--total-steps", type=int, default=60_000,
-                         help="environment steps per run (default: 60000)")
-    p_sweep.add_argument("--no-standard", action="store_true",
+    p_sweep.add_argument("--coefs", dest="coefficient_grid", type=_float_list,
+                         default=SweepSpec.coefficient_grid, metavar="C1,C2,...", help="entropy"
+                         f" coefficient grid (default: {_commas(SweepSpec.coefficient_grid)})")
+    p_sweep.add_argument("--taus", dest="tau_grid", type=_int_list,
+                         default=SweepSpec.tau_grid, metavar="T1,T2,...",
+                         help=f"window-length grid (default: {_commas(SweepSpec.tau_grid)})")
+    p_sweep.add_argument("--seeds", dest="seeds_per_cell", type=int,
+                         default=SweepSpec.seeds_per_cell, metavar="SEEDS",
+                         help="seeds per grid cell (default: %(default)s)")
+    p_sweep.add_argument("--jobs", dest="parallelism", type=int,
+                         default=SweepSpec.parallelism, metavar="JOBS",
+                         help="concurrent runs (default: %(default)s)")
+    p_sweep.add_argument("--out", dest="output_dir", type=Path, default=Path("runs/sweep"),
+                         metavar="OUT", help="output directory for runs.csv, table.md and logs/")
+    p_sweep.add_argument("--base-seed", type=int, default=SweepSpec.base_seed,
+                         help="first seed of every cell (default: %(default)s)")
+    p_sweep.add_argument("--total-steps", dest="total_env_steps", type=int,
+                         default=SweepSpec.total_env_steps, metavar="TOTAL_STEPS",
+                         help="environment steps per run (default: %(default)s)")
+    p_sweep.add_argument("--no-standard", dest="include_standard", action="store_false",
+                         default=SweepSpec.include_standard,
                          help="skip the standard-PPO rows of the grid")
-    p_sweep.set_defaults(func=cmd_sweep, settings=sweep_spec_from_args)
+    p_sweep.set_defaults(func=cmd_sweep, settings=SweepSpec)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p_eval.add_argument("--checkpoint", type=Path, required=True,
                         help="parameter checkpoint written by `train`")
-    p_eval.add_argument("--episodes", type=int, default=20,
-                        help="evaluation episodes (default: 20)")
-    p_eval.add_argument("--seed", type=_seed, default=1,
+    p_eval.add_argument("--episodes", dest="eval_episodes", type=int,
+                        default=TrainConfig.eval_episodes, metavar="EPISODES",
+                        help="evaluation episodes (default: %(default)s)")
+    p_eval.add_argument("--seed", type=int, default=TrainConfig.seed,
                         help="draw from the eval stream of the run with this seed, as"
-                             " `train --seed` does (default: 1)")
-    p_eval.set_defaults(func=cmd_eval,
-                        settings=lambda ns: TrainConfig(eval_episodes=ns.episodes))
+                             " `train --seed` does (default: %(default)s)")
+    p_eval.set_defaults(func=cmd_eval, settings=TrainConfig)
     return parser
 
 
-def train_config_from_args(ns: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        mode=ns.algo,
-        c2_base=ns.entropy_coef,
-        tau=ns.tau,
-        total_env_steps=ns.total_steps,
-        seed=ns.seed,
-    )
-
-
-def sweep_spec_from_args(ns: argparse.Namespace) -> SweepSpec:
-    return SweepSpec(
-        coefficient_grid=ns.coefs,
-        tau_grid=ns.taus,
-        seeds_per_cell=ns.seeds,
-        base_seed=ns.base_seed,
-        include_standard=not ns.no_standard,
-        parallelism=ns.jobs,
-        output_dir=ns.out,
-        total_env_steps=ns.total_steps,
-    )
+def settings_from_args(ns: argparse.Namespace) -> TrainConfig | SweepSpec:
+    """Build ns.settings from every parsed value whose dest names one of its fields."""
+    names = {f.name for f in fields(ns.settings)}
+    return ns.settings(**{k: v for k, v in vars(ns).items() if k in names})
 
 
 def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
@@ -170,8 +159,9 @@ def cmd_eval(ns: argparse.Namespace, config: TrainConfig) -> int:
         print(f"checkpoint architecture {net_config} is not the CartPole actor-critic",
               file=sys.stderr)
         return 1
-    report = evaluate(params, config, run_rng(ns.seed, "eval"))
-    print(f"mean return {report.mean_return:.1f} over {ns.episodes} episodes (std {report.std:.1f})")
+    report = evaluate(params, config, run_rng(config.seed, "eval"))
+    print(f"mean return {report.mean_return:.1f} over {config.eval_episodes} episodes"
+          f" (std {report.std:.1f})")
     print("per-episode:", " ".join(f"{r:.0f}" for r in report.per_episode_returns))
     return 0
 
@@ -180,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        settings = ns.settings(ns)
+        settings = settings_from_args(ns)
     except ValueError as exc:  # a TrainConfig or SweepSpec rule; errors while running propagate
         parser.error(f"{ns.command}: {exc}")
     return ns.func(ns, settings)

@@ -32,21 +32,18 @@ __all__ = ["SweepSpec", "RunResult", "plan_runs", "run_sweep", "render_results",
 
 RUNS_CSV_HEADER = "mode,c2,tau,seed,final_return,wall_time_s,diverged"
 
-DEFAULT_COEFFICIENTS = (0.0, 0.1, 0.3, 0.5, 0.8)
-DEFAULT_TAUS = (1, 10, 20, 50, 100, 200)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
-    coefficient_grid: tuple[float, ...] = DEFAULT_COEFFICIENTS
-    tau_grid: tuple[int, ...] = DEFAULT_TAUS
+    coefficient_grid: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5, 0.8)
+    tau_grid: tuple[int, ...] = (1, 10, 20, 50, 100, 200)
     seeds_per_cell: int = 3
-    base_seed: int = 1
+    base_seed: int = TrainConfig.seed
     include_standard: bool = True
     parallelism: int = 1
     output_dir: str | Path = "sweep_out"
-    total_env_steps: int = 60_000
-    eval_episodes: int = 20
+    total_env_steps: int = TrainConfig.total_env_steps
+    eval_episodes: int = TrainConfig.eval_episodes
 
     def __post_init__(self):
         object.__setattr__(self, "coefficient_grid", tuple(float(c) for c in self.coefficient_grid))
@@ -163,16 +160,18 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
 
     As each run lands, runs.csv is rewritten with the runs finished so far, in
     the order they finished, and one progress line goes to stderr: the run,
-    its eval return and wall time, and an estimate of the time left (the
-    median run time so far x runs left / workers). A sweep that is stopped
-    keeps the rows of its finished runs. It starts min(parallelism, runs)
-    workers; parallelism 1 runs every run in this process.
+    its eval return and wall time (or the type of its error), and an estimate
+    of the time left (the median run time so far x runs left / workers, once
+    a run has finished). A sweep that is stopped keeps the rows of its
+    finished runs. It starts min(parallelism, runs) workers; parallelism 1
+    runs every run in this process.
 
-    A run that raises does not stop the others. Once all have ended, the
-    reports are written for the finished runs, in grid order, and the first
-    failed run's exception (in grid order) is re-raised. An output_dir that
-    is not a directory, lies under a file, or already holds runs.csv or logs/
-    raises FileExistsError before anything is written.
+    A run that raises does not stop the others, and neither does a worker
+    process that dies (see _run_in_pools). Once all have ended, the reports
+    are written for the finished runs, in grid order, and the first failed
+    run's exception (in grid order) is re-raised. An output_dir that is not a
+    directory, lies under a file, or already holds runs.csv or logs/ raises
+    FileExistsError before anything is written.
     """
     plans = plan_runs(spec)
     workers = min(spec.parallelism, len(plans))
@@ -193,28 +192,23 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
             r = finished[i] = run()
         except Exception as exc:
             failed[i] = exc
-            return
-        _write_text_atomic(out_dir / "runs.csv", _render_csv(finished.values()))
+            outcome = f"failed ({type(exc).__name__})"
+        else:
+            _write_text_atomic(out_dir / "runs.csv", _render_csv(finished.values()))
+            outcome = f"eval return {r.final_mean_return:.1f}, {r.wall_time_s:.1f} s"
         ended = len(finished) + len(failed)
+        line = f"[{ended}/{len(plans)}] {_describe(plans[i])}: {outcome}"
         times = sorted(f.wall_time_s for f in finished.values())  # np.median would load numpy.ma
-        median_s = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2
-        eta = median_s * (len(plans) - ended) / workers
-        print(f"[{ended}/{len(plans)}] {_describe(plans[i])}: eval return "
-              f"{r.final_mean_return:.1f}, {r.wall_time_s:.1f} s, ETA {eta:.0f} s",
-              file=sys.stderr)
+        if times:
+            median_s = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2
+            line += f", ETA {median_s * (len(plans) - ended) / workers:.0f} s"
+        print(line, file=sys.stderr)
 
     if spec.parallelism == 1:
         for i, config in enumerate(plans):
             land(i, lambda: _execute_run(config, _log_path(out_dir, config)))
     else:
-        # imported here: the pool pulls in multiprocessing, which serial runs never need
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_execute_run, c, _log_path(out_dir, c)): i
-                       for i, c in enumerate(plans)}
-            for future in as_completed(futures):
-                land(futures[future], future.result)
+        _run_in_pools(plans, out_dir, workers, land)
     results = [finished[i] for i in sorted(finished)]
 
     for i in sorted(finished):
@@ -231,6 +225,45 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
     if failed:
         raise failed[min(failed)]
     return results
+
+
+def _run_in_pools(plans: list[TrainConfig], out_dir: Path, workers: int,
+                  land: Callable[[int, Callable[[], RunResult]], None]) -> None:
+    """Run every plan in a pool of worker processes, landing each run as it returns.
+
+    A worker process that dies breaks its pool, which then fails every run it
+    still held. Those runs did nothing wrong, so they go to a fresh pool. If
+    that pool breaks too, the runs it lost go one at a time through a pool of
+    one worker, which runs them in order: the first run lost there broke it,
+    after an earlier pool lost it too, and only that run lands as failed. The
+    rest go back to a shared pool.
+    """
+    # imported here: the pool pulls in multiprocessing, which serial runs never need
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    def broke_its_pool(i: int) -> RunResult:
+        raise BrokenProcessPool(f"the worker process running {_describe(plans[i])} ended abruptly")
+
+    pending, breaks = list(range(len(plans))), 0
+    while pending:
+        size = 1 if breaks >= 2 else min(workers, len(pending))
+        lost = []
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            futures = {pool.submit(_execute_run, plans[i], _log_path(out_dir, plans[i])): i
+                       for i in pending}
+            for future in as_completed(futures):
+                if isinstance(future.exception(), BrokenProcessPool):
+                    lost.append(futures[future])
+                else:
+                    land(futures[future], future.result)
+        pending = sorted(lost)
+        if lost and size == 1 and breaks:
+            culprit = pending.pop(0)
+            land(culprit, lambda: broke_its_pool(culprit))
+            breaks = 0
+        elif lost:
+            breaks += 1
 
 
 def _cell_key(r: RunResult) -> tuple[str, float, int | None]:

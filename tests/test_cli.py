@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import importlib
 import os
 import re
@@ -6,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axppo.cli import build_parser, main, sweep_spec_from_args, train_config_from_args
+from axppo.cli import build_parser, main, settings_from_args
 from axppo.loss import LEARNING_RATE, TrainingDiverged
 from axppo.net import NetworkConfig, load_checkpoint, save_checkpoint
+from axppo.sweep import SweepSpec
 from axppo.train import TrainConfig
 
 
@@ -19,28 +22,42 @@ def parse(argv):
 def test_train_flag_mapping():
     ns = parse(["train", "--algo", "adaptive", "--entropy-coef", "0.8",
                 "--tau", "50", "--seed", "7"])
-    cfg = train_config_from_args(ns)
+    cfg = settings_from_args(ns)
     assert cfg == TrainConfig(mode="adaptive", c2_base=0.8, tau=50, seed=7)
     # everything else stays at the documented defaults
     assert cfg.horizon == 256 and cfg.epochs == 10 and LEARNING_RATE == 1e-3
 
 
 def test_train_defaults():
-    cfg = train_config_from_args(parse(["train"]))
+    cfg = settings_from_args(parse(["train"]))
     assert cfg == TrainConfig()
+    assert settings_from_args(parse(["eval", "--checkpoint", "c.txt"])) == TrainConfig()
+
+
+def test_every_flag_sets_a_field_of_its_settings():
+    # flags map onto fields by name, so a flag whose dest names no field would be ignored
+    own = {"train": {"help", "out"}, "sweep": {"help"}, "eval": {"help", "checkpoint"}}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(own)
+    for command, parser in subparsers.choices.items():
+        names = {f.name for f in dataclasses.fields(parser.get_default("settings"))}
+        dests = {action.dest for action in parser._actions} - own[command]
+        assert dests and dests <= names, (command, dests - names)
 
 
 def test_sweep_defaults_full_grid():
-    spec = sweep_spec_from_args(parse(["sweep"]))
+    spec = settings_from_args(parse(["sweep"]))
     assert spec.coefficient_grid == (0.0, 0.1, 0.3, 0.5, 0.8)
     assert spec.tau_grid == (1, 10, 20, 50, 100, 200)
     assert spec.seeds_per_cell == 3
     assert spec.include_standard
     assert spec.total_env_steps == 60_000
+    assert spec == SweepSpec(output_dir=Path("runs/sweep"))
 
 
 def test_sweep_flag_parsing():
-    spec = sweep_spec_from_args(parse([
+    spec = settings_from_args(parse([
         "sweep", "--coefs", "0.1,0.5", "--taus", "1,10", "--seeds", "2",
         "--jobs", "4", "--no-standard", "--base-seed", "9",
     ]))
@@ -67,11 +84,14 @@ def test_sweep_flag_parsing():
     ["sweep", "--total-steps", "100"],
     ["sweep", "--no-standard", "--coefs", "0"],
     ["eval", "--checkpoint", "missing.ckpt", "--episodes", "0"],
+    ["eval", "--checkpoint", "missing.ckpt", "--seed", "-1"],
 ])
-def test_usage_errors_exit_nonzero(argv):
+def test_usage_errors_exit_nonzero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code not in (0, None)
+    if argv[:1] == ["eval"] and "--seed" in argv:  # refused by TrainConfig's rule, not the CLI's
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_train_eval_round_trip(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
 import textwrap
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from axppo.sweep import (
     render_results,
     run_sweep,
 )
-from axppo.train import TrainConfig
+from axppo.train import TrainConfig, train
 
 TINY = dict(total_env_steps=256, eval_episodes=2)
 
@@ -113,6 +115,38 @@ def test_failed_run_keeps_finished_runs(tmp_path, monkeypatch, parallelism):
     assert "axPPO tau=2" in (tmp_path / "table.md").read_text()
 
 
+def _train_ending_the_adaptive_seed_2_process(config):
+    """train, except that the adaptive seed-2 run ends its process (forked workers inherit it)."""
+    if config.mode == "adaptive" and config.seed == 2:
+        os._exit(1)
+    return train(config)
+
+
+def test_a_dead_worker_fails_only_its_own_run(tmp_path, monkeypatch, capsys):
+    grid = dict(coefficient_grid=(0.0, 0.3), tau_grid=(10,), seeds_per_cell=3, parallelism=2,
+                **TINY)
+    run_sweep(SweepSpec(output_dir=tmp_path / "clean", **grid))
+    capsys.readouterr()
+    monkeypatch.setattr(axppo.sweep, "train", _train_ending_the_adaptive_seed_2_process)
+    culprit = "adaptive c2=0.3 tau=10 seed=2"
+    with pytest.raises(BrokenProcessPool, match=f"running {culprit} ended"):
+        run_sweep(SweepSpec(output_dir=tmp_path / "dead", **grid))
+
+    def rows(name):
+        text = (tmp_path / name / "runs.csv").read_text()
+        return [{k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in csv.DictReader(text.splitlines())]
+
+    clean = rows("clean")
+    assert len(clean) == 9
+    assert rows("dead") == [r for r in clean if (r["mode"], r["seed"]) != ("adaptive", "2")]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split("]")[0] for line in err[:9]] == [f"[{k}/9" for k in range(1, 10)]
+    assert sum(f"] {culprit}: failed (BrokenProcessPool)" in line for line in err[:9]) == 1
+    assert err[9:] == [f"error: run {culprit} raised BrokenProcessPool: "
+                       f"the worker process running {culprit} ended abruptly"]
+
+
 def test_interrupted_sweep_keeps_the_rows_it_finished(tmp_path, monkeypatch):
     # runs.csv is rewritten as each run lands, so a stopped sweep keeps its finished rows
     spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
@@ -149,6 +183,22 @@ def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
         "[1/3] standard c2=0 tau=None seed=1: eval return 102.0, 2.0 s, ETA 4 s",
         "[2/3] standard c2=0.3 tau=None seed=1: eval return 104.0, 4.0 s, ETA 3 s",
         "[3/3] adaptive c2=0.3 tau=2 seed=1: eval return 108.0, 8.0 s, ETA 0 s",
+    ]
+
+    # a failed run counts as ended; its line has no ETA while no run has finished
+    def failing_standard_0(config, log_path):
+        if config.mode == "standard" and config.c2_base == 0.0:
+            raise RuntimeError("worker failed")
+        return timed_run(config, log_path)
+
+    monkeypatch.setattr(axppo.sweep, "_execute_run", failing_standard_0)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        run_sweep(dataclasses.replace(spec, output_dir=tmp_path / "failing"))
+    assert capsys.readouterr().err.splitlines() == [
+        "[1/3] standard c2=0 tau=None seed=1: failed (RuntimeError)",
+        "[2/3] standard c2=0.3 tau=None seed=1: eval return 104.0, 4.0 s, ETA 4 s",
+        "[3/3] adaptive c2=0.3 tau=2 seed=1: eval return 108.0, 8.0 s, ETA 0 s",
+        "error: run standard c2=0 tau=None seed=1 raised RuntimeError: worker failed",
     ]
 
 
