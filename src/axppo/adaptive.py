@@ -49,12 +49,17 @@ def g_recent(window: ReturnWindow) -> float:
     return sum(window.entries) / len(window.entries) / MAX_RETURN
 
 
-def effective_entropy_coef(mode: str, window: ReturnWindow, c2_base: float) -> float:
-    """Entropy coefficient applied this update: c2_base, scaled by g_recent in adaptive mode."""
+def _check_schedule(mode: str, c2_base: float) -> None:
+    """The settings of an entropy schedule: a mode of MODES and a finite c2_base >= 0."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not (math.isfinite(c2_base) and c2_base >= 0.0):
         raise ValueError(f"c2_base must be finite and >= 0, got {c2_base}")
+
+
+def effective_entropy_coef(mode: str, window: ReturnWindow, c2_base: float) -> float:
+    """Entropy coefficient applied this update: c2_base, scaled by g_recent in adaptive mode."""
+    _check_schedule(mode, c2_base)
     if mode == "standard":
         return c2_base
     return g_recent(window) * c2_base

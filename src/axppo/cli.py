@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="environment steps to train for (default: %(default)s)")
     p_train.add_argument("--out", type=Path, default=Path("runs/train"),
                          help="output directory for log.csv and checkpoint.txt")
-    p_train.set_defaults(func=cmd_train, settings=TrainConfig)
+    p_train.set_defaults(func=cmd_train, settings=TrainConfig, parser=p_train)
 
     p_sweep = sub.add_parser("sweep", help="run the full coefficient x tau grid")
     p_sweep.add_argument("--coefs", dest="coefficient_grid", type=_float_list,
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-standard", dest="include_standard", action="store_false",
                          default=SweepSpec.include_standard,
                          help="skip the standard-PPO rows of the grid")
-    p_sweep.set_defaults(func=cmd_sweep, settings=SweepSpec)
+    p_sweep.set_defaults(func=cmd_sweep, settings=SweepSpec, parser=p_sweep)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p_eval.add_argument("--checkpoint", type=Path, required=True,
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=TrainConfig.seed,
                         help="draw from the eval stream of the run with this seed, as"
                              " `train --seed` does (default: %(default)s)")
-    p_eval.set_defaults(func=cmd_eval, settings=TrainConfig)
+    p_eval.set_defaults(func=cmd_eval, settings=TrainConfig, parser=p_eval)
     return parser
 
 
@@ -167,12 +167,11 @@ def cmd_eval(ns: argparse.Namespace, config: TrainConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         settings = settings_from_args(ns)
     except ValueError as exc:  # a TrainConfig or SweepSpec rule; errors while running propagate
-        parser.error(f"{ns.command}: {exc}")
+        ns.parser.error(str(exc))  # under the subcommand's usage line
     return ns.func(ns, settings)
 
 

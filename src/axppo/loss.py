@@ -18,8 +18,8 @@ infinities). ppo_update checks the inputs that are fixed for the whole update
 (buffer.log_probs, the normalized advantages, value_targets) once, before its
 first minibatch; per minibatch it leaves the network output to
 loss_output_gradients, checks the loss itself, and leaves the gradient to
-adam_step. Argument errors (shapes, a horizon MINIBATCH_SIZE does not divide)
-are plain ValueErrors.
+adam_step; after the last, it checks the parameters it returns. Argument
+errors (shapes, a horizon MINIBATCH_SIZE does not divide) are plain ValueErrors.
 
 loss_output_gradients runs once per minibatch on small arrays, so its cost
 is mostly dispatch. It calls ufuncs directly and gives the same bits as the
@@ -198,7 +198,7 @@ def ppo_update(
     for the whole update (buffer.log_probs, the normalized advantages,
     value_targets) are checked once before the first minibatch; the network
     output by loss_output_gradients; the loss of every minibatch here; its
-    gradient by adam_step.
+    gradient by adam_step; the parameters it returns here, after the last one.
     """
     horizon = len(buffer.rewards)
     if horizon % MINIBATCH_SIZE != 0:
@@ -235,6 +235,8 @@ def ppo_update(
             params, adam_state = adam_step(params, grads, adam_state, LEARNING_RATE)
             if is_last:
                 last_epoch.append(breakdown)
+    if not np.isfinite(params).all():
+        raise TrainingDiverged("non-finite parameters after ppo update")
 
     summary = LossBreakdown(
         clip_term=float(np.mean([b.clip_term for b in last_epoch])),

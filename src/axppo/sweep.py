@@ -48,14 +48,15 @@ class SweepSpec:
     def __post_init__(self):
         object.__setattr__(self, "coefficient_grid", tuple(float(c) for c in self.coefficient_grid))
         object.__setattr__(self, "tau_grid", tuple(self.tau_grid))
-        for t in self.tau_grid:
-            _require_int("tau", t)
         _require_int("seeds_per_cell", self.seeds_per_cell)
         _require_int("parallelism", self.parallelism)
         if not self.coefficient_grid or not self.tau_grid:
             raise ValueError("coefficient and tau grids must be non-empty")
-        if any(t < 1 for t in self.tau_grid):
-            raise ValueError("tau values must be >= 1")
+        # TrainConfig's rules hold for every run: check each (coefficient, window) pair, run or not
+        for c2 in self.coefficient_grid:
+            for tau in self.tau_grid:
+                TrainConfig(c2_base=c2, tau=tau, total_env_steps=self.total_env_steps,
+                            seed=self.base_seed, eval_episodes=self.eval_episodes)
         # set() also merges 0.0 and -0.0, which print differently
         for name, grid in (("coefficient", self.coefficient_grid), ("tau", self.tau_grid)):
             if len(set(grid)) != len(grid):
@@ -72,12 +73,6 @@ class SweepSpec:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if not self.include_standard and not any(c > 0.0 for c in self.coefficient_grid):
             raise ValueError("the grid plans no runs: adaptive cells need a coefficient > 0")
-        # every run builds a TrainConfig from these; reject bad values before any run starts
-        for c2 in self.coefficient_grid:
-            TrainConfig(
-                c2_base=c2, total_env_steps=self.total_env_steps, seed=self.base_seed,
-                eval_episodes=self.eval_episodes,
-            )
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axppo.adaptive import ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
+from axppo.train import TrainConfig
 
 returns_lists = st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=0, max_size=30)
 
@@ -99,8 +100,13 @@ def test_adaptive_coefficient_bounded_by_base(values, c2):
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as coef_exc:
         effective_entropy_coef("greedy", ReturnWindow(capacity=1), 0.1)
+    with pytest.raises(ValueError) as config_exc:
+        TrainConfig(mode="greedy")
+    # one rule, written once in axppo.adaptive, so one message
+    assert (str(coef_exc.value) == str(config_exc.value)
+            == "mode must be one of ('standard', 'adaptive'), got 'greedy'")
     with pytest.raises(ValueError):
         effective_entropy_coef("adaptive", ReturnWindow(capacity=1), -0.1)
 

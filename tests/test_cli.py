@@ -69,14 +69,16 @@ def test_sweep_flag_parsing():
     assert spec.base_seed == 9
 
 
-@pytest.mark.parametrize("argv", [
+PARSE_ERRORS = [
     ["train", "--algo", "bogus"],
     ["train", "--entropy-coef", "lots"],
-    ["train", "--seed", "-3"],
     ["sweep", "--taus", "1,two"],
     ["train", "--frobnicate"],
     [],
-    # settings that parse but break a TrainConfig or SweepSpec rule
+]
+# settings that parse but break a TrainConfig or SweepSpec rule
+RULE_ERRORS = [
+    ["train", "--seed", "-3"],
     ["train", "--tau", "0"],
     ["train", "--total-steps", "100"],
     ["sweep", "--seeds", "0"],
@@ -85,13 +87,22 @@ def test_sweep_flag_parsing():
     ["sweep", "--no-standard", "--coefs", "0"],
     ["eval", "--checkpoint", "missing.ckpt", "--episodes", "0"],
     ["eval", "--checkpoint", "missing.ckpt", "--seed", "-1"],
-])
+    ["sweep", "--taus", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ERRORS + RULE_ERRORS)
 def test_usage_errors_exit_nonzero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code not in (0, None)
+    err = capsys.readouterr().err
+    if argv in RULE_ERRORS:  # reported under the subcommand's usage, not the top-level one
+        assert err.startswith(f"usage: axppo {argv[0]} [-h]")
     if argv[:1] == ["eval"] and "--seed" in argv:  # refused by TrainConfig's rule, not the CLI's
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+    if argv[1:] in (["--tau", "0"], ["--taus", "0"]):  # one window rule, TrainConfig's
+        assert err.endswith(f"axppo {argv[0]}: error: tau must be >= 1, got 0\n")
 
 
 def test_train_eval_round_trip(tmp_path, capsys):

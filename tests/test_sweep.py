@@ -318,8 +318,11 @@ def test_render_validates_inputs():
 def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(coefficient_grid=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^tau must be >= 1, got 0$"):  # TrainConfig's rule
         SweepSpec(tau_grid=(0,))
+    # a window no run uses is refused too: this grid plans standard runs only
+    with pytest.raises(ValueError, match=r"^tau must be >= 1, got 0$"):
+        SweepSpec(coefficient_grid=(0.0,), tau_grid=(0,))
     with pytest.raises(ValueError):
         SweepSpec(seeds_per_cell=0)
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import pytest
 
 import axppo.loss
 import axppo.rollout
-from axppo.net import init_params, unpack_params
+from axppo.cli import main
+from axppo.net import init_params, load_checkpoint, unpack_params
 from axppo.train import (
     LOG_HEADER,
     TrainConfig,
@@ -179,6 +180,32 @@ def test_non_finite_rollout_output_stops_training(monkeypatch):
     one_update = train(TrainConfig(total_env_steps=256))
     assert result.records == one_update.records
     assert np.array_equal(result.params, one_update.params)
+
+
+def test_non_finite_parameters_stop_training_at_the_last_finite_ones(monkeypatch, tmp_path):
+    # the 80th Adam step is the last minibatch of update 2: no later forward pass would see
+    # its infinite weight, so only ppo_update's check of the parameters it returns can
+    real_step, steps = axppo.loss.adam_step, []
+
+    def adam_step(*args, **kwargs):
+        params, state = real_step(*args, **kwargs)
+        steps.append(None)
+        if len(steps) == 80:
+            params = params.copy()
+            params[0] = np.inf
+        return params, state
+
+    monkeypatch.setattr(axppo.loss, "adam_step", adam_step)
+    result = train(TrainConfig(total_env_steps=768))
+    steps.clear()
+    assert main(["train", "--total-steps", "768", "--out", str(tmp_path)]) == 1
+    monkeypatch.undo()
+    assert len(result.records) == 1
+    assert result.error.startswith("non-finite parameters")
+    assert np.array_equal(result.params, train(TrainConfig(total_env_steps=256)).params)
+    # the checkpoint written for the diverged run holds those finite parameters
+    _, params = load_checkpoint(tmp_path / "checkpoint.txt")
+    assert np.array_equal(params, result.params)
 
 
 def test_evaluate_reports_per_episode_returns():
