@@ -12,14 +12,14 @@ return-scaled value in adaptive mode. It is frozen for the whole update.
 
 Finiteness checks. Every non-finite number is reported where it is found, as
 TrainingDiverged (defined in axppo.optim, a ValueError, re-exported here).
-loss_output_gradients raises it for a NaN or infinite input and names the
-input, through one isfinite over all five inputs joined (exact, and silent on
-infinities). ppo_update checks the inputs that are fixed for the whole update
-(buffer.log_probs, the normalized advantages, value_targets) once, before its
-first minibatch; per minibatch it leaves the network output to
-loss_output_gradients, checks the loss itself, and leaves the gradient to
-adam_step; after the last, it checks the parameters it returns. Argument
-errors (shapes, a horizon MINIBATCH_SIZE does not divide) are plain ValueErrors.
+loss_output_gradients checks its five inputs (logits, values, old_log_probs,
+advantages, value_targets) through one isfinite over all of them joined
+(exact, and silent on infinities), and names the first non-finite one.
+ppo_update checks each minibatch's loss and the parameters it returns;
+adam_step checks the gradient. Every epoch passes each sample through
+loss_output_gradients, so the inputs that are fixed for the whole update are
+checked in its first epoch. Argument errors (shapes, a horizon MINIBATCH_SIZE
+does not divide) are plain ValueErrors.
 
 loss_output_gradients runs once per minibatch on small arrays, so its cost
 is mostly dispatch. It calls ufuncs directly and gives the same bits as the
@@ -194,11 +194,11 @@ def ppo_update(
     parameters, optimizer state, and the mean loss breakdown over the last
     epoch's minibatches.
 
-    Raises TrainingDiverged on non-finite numbers: the inputs that are fixed
-    for the whole update (buffer.log_probs, the normalized advantages,
-    value_targets) are checked once before the first minibatch; the network
-    output by loss_output_gradients; the loss of every minibatch here; its
-    gradient by adam_step; the parameters it returns here, after the last one.
+    Raises TrainingDiverged on non-finite numbers: the network output and the
+    minibatch's slices of buffer.log_probs, the normalized advantages and
+    value_targets, by loss_output_gradients; the loss of every minibatch here;
+    its gradient by adam_step; the parameters it returns here, after the last
+    minibatch.
     """
     horizon = len(buffer.rewards)
     if horizon % MINIBATCH_SIZE != 0:
@@ -210,11 +210,6 @@ def ppo_update(
         raise ValueError("advantages/value_targets are not aligned with the buffer")
 
     adv = ADV_TARGET_STD * (advantages - advantages.mean()) / (advantages.std() + ADV_NORM_EPS)
-
-    for name, arr in (("buffer.log_probs", old_log_probs), ("advantages", adv),
-                      ("value_targets", value_targets)):
-        if not np.isfinite(arr).all():
-            raise TrainingDiverged(f"non-finite {name} during ppo update")
 
     last_epoch: list[LossBreakdown] = []
     for epoch in range(EPOCHS):
@@ -238,10 +233,6 @@ def ppo_update(
     if not np.isfinite(params).all():
         raise TrainingDiverged("non-finite parameters after ppo update")
 
-    summary = LossBreakdown(
-        clip_term=float(np.mean([b.clip_term for b in last_epoch])),
-        value_term=float(np.mean([b.value_term for b in last_epoch])),
-        entropy_term=float(np.mean([b.entropy_term for b in last_epoch])),
-        total=float(np.mean([b.total for b in last_epoch])),
-    )
-    return params, adam_state, summary
+    # one mean per field, in field order, over the last epoch's minibatches
+    columns = zip(*(vars(b).values() for b in last_epoch))
+    return params, adam_state, LossBreakdown(*(float(np.mean(c)) for c in columns))

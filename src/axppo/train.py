@@ -220,13 +220,13 @@ def evaluate(params: np.ndarray, config: TrainConfig, rng: np.random.Generator) 
 def write_update_log(records: tuple[UpdateRecord, ...], path: str | Path) -> None:
     """Per-run log: one comma-separated row per update under a fixed header.
 
-    Every float is written with repr, so it parses back to the exact value.
-    The file is replaced atomically (see net._write_text_atomic).
+    The loss columns are LossBreakdown's fields, in its order. Every float is
+    written with repr, so it parses back to the exact value. The file is
+    replaced atomically (see net._write_text_atomic).
     """
     lines = [LOG_HEADER]
     for r in records:
-        floats = (r.batch_mean_return, r.g_recent, r.c2_effective, r.loss.clip_term,
-                  r.loss.value_term, r.loss.entropy_term, r.loss.total)
+        floats = (r.batch_mean_return, r.g_recent, r.c2_effective, *vars(r.loss).values())
         lines.append(f"{r.update_index},{r.env_steps_so_far},"
                      + ",".join(repr(float(x)) for x in floats))
     path = Path(path)

@@ -326,6 +326,8 @@ def test_update_log_format(tmp_path):
         "loss_clip,loss_value,loss_entropy,loss_total"
     )
     assert len(lines) == 1 + len(result.records)
+    # a column added to LOG_HEADER or to the rows must be added to both
+    assert all(len(line.split(",")) == len(LOG_HEADER.split(",")) for line in lines[1:])
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "256"
     assert len(first) == 9
