@@ -9,24 +9,21 @@ from pathlib import Path
 
 from .adaptive import MODES
 from .net import load_checkpoint, save_checkpoint
-from .sweep import SweepSpec, run_sweep
+from .sweep import SweepSpec, _describe, run_sweep
 from .train import TrainConfig, evaluate, run_rng, train, write_update_log
 
 __all__ = ["build_parser", "settings_from_args", "main"]
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from exc
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+def _comma_list(kind: type, name: str):
+    """An argparse type for a comma-separated list of `kind` values, called `name` in errors."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(",") if x != "")
+        except ValueError as exc:
+            message = f"expected comma-separated {name}, got {text!r}"
+            raise argparse.ArgumentTypeError(message) from exc
+    return parse
 
 
 def _commas(values: tuple[float, ...]) -> str:
@@ -60,10 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train, settings=TrainConfig, parser=p_train)
 
     p_sweep = sub.add_parser("sweep", help="run the full coefficient x tau grid")
-    p_sweep.add_argument("--coefs", dest="coefficient_grid", type=_float_list,
+    p_sweep.add_argument("--coefs", dest="coefficient_grid", type=_comma_list(float, "floats"),
                          default=SweepSpec.coefficient_grid, metavar="C1,C2,...", help="entropy"
                          f" coefficient grid (default: {_commas(SweepSpec.coefficient_grid)})")
-    p_sweep.add_argument("--taus", dest="tau_grid", type=_int_list,
+    p_sweep.add_argument("--taus", dest="tau_grid", type=_comma_list(int, "integers"),
                          default=SweepSpec.tau_grid, metavar="T1,T2,...",
                          help=f"window-length grid (default: {_commas(SweepSpec.tau_grid)})")
     p_sweep.add_argument("--seeds", dest="seeds_per_cell", type=int,
@@ -125,12 +122,8 @@ def cmd_train(ns: argparse.Namespace, config: TrainConfig) -> int:
         return 1
 
     report = evaluate(result.params, config, run_rng(config.seed, "eval"))
-    print(
-        f"{config.mode} c2={config.c2_base:g}"
-        + (f" tau={config.tau}" if config.mode == "adaptive" else "")
-        + f" seed={config.seed}: eval mean return {report.mean_return:.1f}"
-        f" (std {report.std:.1f}, {config.eval_episodes} episodes)"
-    )
+    print(f"{_describe(config)}: eval mean return {report.mean_return:.1f}"
+          f" (std {report.std:.1f}, {config.eval_episodes} episodes)")
     print(f"log: {out / 'log.csv'}")
     print(f"checkpoint: {out / 'checkpoint.txt'}")
     return 0

@@ -209,7 +209,8 @@ def ppo_update(
     if advantages.shape != (horizon,) or value_targets.shape != (horizon,):
         raise ValueError("advantages/value_targets are not aligned with the buffer")
 
-    adv = ADV_TARGET_STD * (advantages - advantages.mean()) / (advantages.std() + ADV_NORM_EPS)
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which loss_output_gradients refuses
+        adv = ADV_TARGET_STD * (advantages - advantages.mean()) / (advantages.std() + ADV_NORM_EPS)
 
     last_epoch: list[LossBreakdown] = []
     for epoch in range(EPOCHS):

@@ -200,15 +200,15 @@ def compute_gae(
 ) -> tuple[np.ndarray, np.ndarray]:
     """GAE(gamma, lam) advantages and value targets for one buffer.
 
-    delta_t = r_t + gamma * V(s_{t+1}) * (1 - terminated_t) - V(s_t), then
+    next_values is 0.0 on termination (see RolloutBuffer), so
+    delta_t = r_t + gamma * next_values_t - V(s_t), then
     A_t = delta_t + gamma * lam * (1 - done_t) * A_{t+1} backward, where
     done = terminated or truncated stops accumulation across episode
     boundaries. Targets are A_t + V(s_t).
     """
     if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):
         raise ValueError(f"gamma and lambda must lie in [0, 1], got {gamma}, {lam}")
-    not_terminated = 1.0 - buffer.terminated.astype(np.float64)
-    deltas = buffer.rewards + gamma * buffer.next_values * not_terminated - buffer.values
+    deltas = buffer.rewards + gamma * buffer.next_values - buffer.values
     done = buffer.terminated | buffer.truncated
 
     horizon = len(buffer.rewards)

@@ -5,8 +5,9 @@ coefficient, plus the adaptive variant at every nonzero coefficient crossed
 with every window length, three seeds per cell. Adaptive cells at coefficient
 zero are skipped because a zero coefficient makes both modes identical.
 
-Each run is a TrainConfig; plan_runs lists them in grid order. A standard run
-keeps the default tau, which standard mode never reads, and reports none.
+plan_runs is the one rule for which runs a grid holds; it lists them as
+TrainConfigs in grid order. A standard run keeps the default tau, which
+standard mode never reads, and reports none.
 
 Every run is fully isolated (own seeds, own log file), so runs may execute in
 worker processes; results always come back in grid order regardless of
@@ -71,7 +72,7 @@ class SweepSpec:
             raise ValueError(f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if not self.include_standard and not any(c > 0.0 for c in self.coefficient_grid):
+        if not plan_runs(self):
             raise ValueError("the grid plans no runs: adaptive cells need a coefficient > 0")
 
 
@@ -118,8 +119,10 @@ def _reported_tau(config: TrainConfig) -> int | None:
 
 
 def _describe(config: TrainConfig) -> str:
-    c2, tau = _fmt_num(config.c2_base), _reported_tau(config)
-    return f"{config.mode} c2={c2} tau={tau} seed={config.seed}"
+    """A run's label, `mode c2=C [tau=T] seed=S`, as `axppo train` prints it too."""
+    tau = _reported_tau(config)
+    window = "" if tau is None else f" tau={tau}"
+    return f"{config.mode} c2={_fmt_num(config.c2_base)}{window} seed={config.seed}"
 
 
 def _log_path(out_dir: Path, config: TrainConfig) -> Path:
@@ -261,10 +264,6 @@ def _run_in_pools(plans: list[TrainConfig], out_dir: Path, workers: int,
             breaks += 1
 
 
-def _cell_key(r: RunResult) -> tuple[str, float, int | None]:
-    return (r.mode, r.c2_base, r.tau)
-
-
 def render_results(results: list[RunResult], format: str) -> str:
     """Render run results as a per-run CSV or a grid-shaped markdown table."""
     if not results:
@@ -295,11 +294,9 @@ def _render_markdown(results: list[RunResult]) -> str:
 
     by_cell: dict[tuple[str, float, int | None], list[RunResult]] = {}
     for r in results:
-        by_cell.setdefault(_cell_key(r), []).append(r)
+        by_cell.setdefault((r.mode, r.c2_base, r.tau), []).append(r)
 
     def cell_text(mode: str, c2: float, tau: int | None) -> str:
-        if mode == "adaptive" and c2 == 0.0:
-            return "-"  # identical to standard PPO at coefficient 0
         runs = [r for r in by_cell.get((mode, c2, tau), []) if not r.diverged]
         if not runs:
             return "-"

@@ -73,6 +73,7 @@ PARSE_ERRORS = [
     ["train", "--algo", "bogus"],
     ["train", "--entropy-coef", "lots"],
     ["sweep", "--taus", "1,two"],
+    ["sweep", "--coefs", "0,x"],
     ["train", "--frobnicate"],
     [],
 ]
@@ -103,6 +104,29 @@ def test_usage_errors_exit_nonzero(argv, capsys):
         assert "seed must be >= 0, got -1" in err
     if argv[1:] in (["--tau", "0"], ["--taus", "0"]):  # one window rule, TrainConfig's
         assert err.endswith(f"axppo {argv[0]}: error: tau must be >= 1, got 0\n")
+
+
+def test_list_flags_name_the_kind_they_expect(capsys):
+    for argv, expected in ((["sweep", "--coefs", "0,x"], "floats, got '0,x'"),
+                           (["sweep", "--taus", "1,two"], "integers, got '1,two'")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().err.endswith(f"error: argument {argv[1]}: expected"
+                                                f" comma-separated {expected}\n")
+
+
+@pytest.mark.parametrize("mode, label", [("standard", "standard c2=0.3 seed=4"),
+                                         ("adaptive", "adaptive c2=0.3 tau=2 seed=4")],
+                         ids=["standard", "adaptive"])
+def test_train_and_sweep_label_a_run_alike(tmp_path, capsys, mode, label):
+    steps = ["--total-steps", "256"]
+    assert main(["train", "--algo", mode, "--entropy-coef", "0.3", "--tau", "2", "--seed", "4",
+                 "--out", str(tmp_path / "train")] + steps) == 0
+    assert capsys.readouterr().out.startswith(f"{label}: eval mean return ")
+    assert main(["sweep", "--coefs", "0.3", "--taus", "2", "--seeds", "1", "--base-seed", "4",
+                 "--out", str(tmp_path / "sweep")] + steps) == 0
+    progress = [line.split("] ", 1)[1] for line in capsys.readouterr().err.splitlines()]
+    assert sum(line.startswith(f"{label}: eval return ") for line in progress) == 1
 
 
 def test_train_eval_round_trip(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -367,10 +367,16 @@ def test_ppo_update_diverges_on_non_finite_gradient(monkeypatch):
                    rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("name", ["advantages", "value_targets", "old_log_probs"])
-def test_ppo_update_rejects_non_finite_fixed_inputs_in_first_epoch(monkeypatch, name):
+# a NaN, +inf or -inf at index 5; the NaN cases are named by the input alone
+@pytest.mark.parametrize("name, bad", [
+    pytest.param(name, bad, id=name + suffix)
+    for bad, suffix in ((np.nan, ""), (np.inf, "+inf"), (-np.inf, "-inf"))
+    for name in ("advantages", "value_targets", "old_log_probs")
+])
+def test_ppo_update_rejects_non_finite_fixed_inputs_in_first_epoch(monkeypatch, name, bad):
     # the inputs fixed for the whole update are checked by loss_output_gradients, and
-    # every epoch passes each sample through it, so the first epoch finds the bad one
+    # every epoch passes each sample through it, so the first epoch finds the bad one;
+    # an infinite advantage must not stop first at a RuntimeWarning of the normalization
     forward_calls = []
 
     def counted_forward(*args, **kwargs):
@@ -382,9 +388,9 @@ def test_ppo_update_rejects_non_finite_fixed_inputs_in_first_epoch(monkeypatch, 
     cfg, params, buffer = _synthetic_buffer(rng, horizon=256)
     inputs = dict(advantages=rng.standard_normal(256), value_targets=rng.standard_normal(256))
     if name == "old_log_probs":
-        buffer.log_probs[5] = np.nan
+        buffer.log_probs[5] = bad
     else:
-        inputs[name][5] = np.nan
+        inputs[name][5] = bad
     with pytest.raises(TrainingDiverged, match=f"^non-finite entries in {name}$"):
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer,
                    inputs["advantages"], inputs["value_targets"], 0.0,
@@ -415,7 +421,7 @@ def test_ppo_update_summary_is_the_last_epoch_mean_of_each_field(monkeypatch):
 
 
 @pytest.mark.parametrize("site", ["loss_output_gradients", "adam_step", "network output",
-                                  "gradient", "fixed input"])
+                                  "gradient", "fixed input", "loss"])
 def test_every_non_finite_site_raises_training_diverged(monkeypatch, site):
     rng = np.random.default_rng(9)
     cfg, params, buffer = _synthetic_buffer(rng)
@@ -430,6 +436,10 @@ def test_every_non_finite_site_raises_training_diverged(monkeypatch, site):
         grads = backprop(*args)
         grads[3] = np.nan
         return grads
+
+    def inf_loss(*args):
+        breakdown, d_logits, d_values = loss_output_gradients(*args)
+        return replace(breakdown, total=np.inf), d_logits, d_values
 
     def update():
         ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer, advantages,
@@ -446,8 +456,12 @@ def test_every_non_finite_site_raises_training_diverged(monkeypatch, site):
         monkeypatch.setattr(axppo.loss, "forward", nan_forward)
     elif site == "gradient":
         monkeypatch.setattr(axppo.loss, "backprop", nan_backprop)
+    elif site == "loss":
+        monkeypatch.setattr(axppo.loss, "loss_output_gradients", inf_loss)
     else:
         advantages[3] = np.nan
     with pytest.raises(ValueError) as exc:
         call()
     assert type(exc.value) is TrainingDiverged
+    if site == "loss":
+        assert str(exc.value) == "non-finite loss during ppo update"

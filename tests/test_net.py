@@ -214,6 +214,17 @@ def test_checkpoint_rejects_wrong_length(tmp_path):
     cfg = NetworkConfig(obs_dim=2, hidden_sizes=(3,), action_count=2)
     with pytest.raises(ValueError):
         save_checkpoint(tmp_path / "x.txt", cfg, np.zeros(cfg.param_count + 1))
+    # load_checkpoint refuses a file that holds one value too few or too many, or nothing
+    path = tmp_path / "checkpoint.txt"
+    save_checkpoint(path, cfg, np.zeros(cfg.param_count))
+    header, *values = path.read_text().splitlines()
+    for count in (cfg.param_count - 1, cfg.param_count + 1):
+        path.write_text("\n".join([header] + (values * 2)[:count]) + "\n")
+        with pytest.raises(ValueError, match=f"holds {count} values, expected {cfg.param_count}$"):
+            load_checkpoint(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="^empty checkpoint file: "):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_activation(tmp_path):

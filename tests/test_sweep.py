@@ -147,6 +147,46 @@ def test_a_dead_worker_fails_only_its_own_run(tmp_path, monkeypatch, capsys):
                        f"the worker process running {culprit} ended abruptly"]
 
 
+def _train_diverging_the_standard_0_3_run(config):
+    """train, except that the standard c2=0.3 run diverges after its first update."""
+    result = train(config)
+    if config.mode == "standard" and config.c2_base == 0.3:
+        return dataclasses.replace(result, records=result.records[:1], error="synthetic blow-up")
+    return result
+
+
+def test_a_diverged_run_is_reported_and_left_out_of_its_cell(tmp_path, monkeypatch, capsys):
+    grid = dict(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
+                total_env_steps=768, eval_episodes=2)
+    run_sweep(SweepSpec(output_dir=tmp_path / "clean", **grid))
+    capsys.readouterr()
+    monkeypatch.setattr(axppo.sweep, "train", _train_diverging_the_standard_0_3_run)
+    results = run_sweep(SweepSpec(output_dir=tmp_path / "diverged", **grid))
+    assert [r.diverged for r in results] == [False, True, False]
+
+    def rows(name):
+        text = (tmp_path / name / "runs.csv").read_text()
+        return [{k: v for k, v in row.items() if k != "wall_time_s"}
+                for row in csv.DictReader(text.splitlines())]
+
+    clean, diverged = rows("clean"), rows("diverged")
+    assert (diverged[1]["final_return"], diverged[1]["diverged"]) == ("nan", "true")
+    assert [diverged[0], diverged[2]] == [clean[0], clean[2]]
+    log, clean_log = ((tmp_path / name / "logs" / "run_standard_0.3_na_1.csv").read_text()
+                      for name in ("diverged", "clean"))
+    assert log.splitlines() == clean_log.splitlines()[:1 + 1]  # header + the update it finished
+    assert capsys.readouterr().err.splitlines()[3:] == [
+        "warning: run standard c2=0.3 seed=1 diverged; excluded from cell means",
+    ]
+    clean_table, table = (
+        [line.split("|") for line in (tmp_path / name / "table.md").read_text().splitlines()]
+        for name in ("clean", "diverged")
+    )
+    assert table[2][3].strip() == "-"  # Standard PPO at c2=0.3: its only run diverged
+    table[2][3] = clean_table[2][3]
+    assert table == clean_table
+
+
 def test_interrupted_sweep_keeps_the_rows_it_finished(tmp_path, monkeypatch):
     # runs.csv is rewritten as each run lands, so a stopped sweep keeps its finished rows
     spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
@@ -180,8 +220,8 @@ def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
                      output_dir=tmp_path, **TINY)
     run_sweep(spec)
     assert capsys.readouterr().err.splitlines() == [
-        "[1/3] standard c2=0 tau=None seed=1: eval return 102.0, 2.0 s, ETA 4 s",
-        "[2/3] standard c2=0.3 tau=None seed=1: eval return 104.0, 4.0 s, ETA 3 s",
+        "[1/3] standard c2=0 seed=1: eval return 102.0, 2.0 s, ETA 4 s",
+        "[2/3] standard c2=0.3 seed=1: eval return 104.0, 4.0 s, ETA 3 s",
         "[3/3] adaptive c2=0.3 tau=2 seed=1: eval return 108.0, 8.0 s, ETA 0 s",
     ]
 
@@ -195,10 +235,10 @@ def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="worker failed"):
         run_sweep(dataclasses.replace(spec, output_dir=tmp_path / "failing"))
     assert capsys.readouterr().err.splitlines() == [
-        "[1/3] standard c2=0 tau=None seed=1: failed (RuntimeError)",
-        "[2/3] standard c2=0.3 tau=None seed=1: eval return 104.0, 4.0 s, ETA 4 s",
+        "[1/3] standard c2=0 seed=1: failed (RuntimeError)",
+        "[2/3] standard c2=0.3 seed=1: eval return 104.0, 4.0 s, ETA 4 s",
         "[3/3] adaptive c2=0.3 tau=2 seed=1: eval return 108.0, 8.0 s, ETA 0 s",
-        "error: run standard c2=0 tau=None seed=1 raised RuntimeError: worker failed",
+        "error: run standard c2=0 seed=1 raised RuntimeError: worker failed",
     ]
 
 
