@@ -12,7 +12,7 @@ imports it. They are looked up afresh on every access, never stored here.
 
 import importlib
 
-from .adaptive import ReturnWindow, effective_entropy_coef, g_recent, push_batch_return
+from .adaptive import effective_entropy_coef, g_recent
 from .cartpole import CartPoleState, StepResult, reset, step
 from .loss import (
     LossBreakdown,

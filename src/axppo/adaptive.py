@@ -1,8 +1,9 @@
-"""Recent-return window that drives the adaptive entropy coefficient.
+"""The adaptive entropy coefficient: c2_base scaled by the normalized mean of recent returns.
 
-The window keeps the last `capacity` per-update mean episode returns. Its
-normalized mean (divided by the maximum possible episode return) scales the
-configured entropy coefficient in adaptive mode, so exploration pressure grows
+A run's window is its last `tau` per-update mean episode returns, which
+train() takes as a slice of the returns it keeps. g_recent normalizes their
+mean by the maximum possible episode return, and in adaptive mode the
+configured entropy coefficient is scaled by it, so exploration pressure grows
 with recent performance and vanishes while the agent still earns nothing.
 Before the window fills, the mean is taken over whatever entries exist; an
 empty window yields 0.
@@ -11,42 +12,25 @@ empty window yields 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
 
 from .cartpole import MAX_RETURN
 
-__all__ = ["ReturnWindow", "push_batch_return", "g_recent", "effective_entropy_coef"]
+__all__ = ["g_recent", "effective_entropy_coef"]
 
 MODES = ("standard", "adaptive")
 
 
-@dataclass(frozen=True)
-class ReturnWindow:
-    capacity: int
-    entries: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
-        if len(self.entries) > self.capacity:
-            raise ValueError("window holds more entries than its capacity")
-
-
-def push_batch_return(window: ReturnWindow, mean_return: float) -> ReturnWindow:
-    """Append one per-update mean return, evicting the oldest entry when full."""
-    if not 0.0 <= mean_return <= MAX_RETURN:
-        raise ValueError(f"mean_return must lie in [0, {MAX_RETURN}], got {mean_return}")
-    entries = window.entries + (float(mean_return),)
-    if len(entries) > window.capacity:
-        entries = entries[-window.capacity :]
-    return replace(window, entries=entries)
-
-
-def g_recent(window: ReturnWindow) -> float:
-    """Windowed mean return normalized to [0, 1]; 0.0 while the window is empty."""
-    if not window.entries:
+def g_recent(window: Sequence[float]) -> float:
+    """Mean of the recent per-update returns normalized to [0, 1]; 0.0 for an empty window."""
+    if not window:
         return 0.0
-    return sum(window.entries) / len(window.entries) / MAX_RETURN
+    g = sum(window) / len(window) / MAX_RETURN
+    # min and max pass over a NaN that is not first; the sum does not
+    if not (0.0 <= min(window) and max(window) <= MAX_RETURN and math.isfinite(g)):
+        bad = next(r for r in window if not 0.0 <= r <= MAX_RETURN)
+        raise ValueError(f"returns must lie in [0, {MAX_RETURN}], got {bad}")
+    return g
 
 
 def _check_schedule(mode: str, c2_base: float) -> None:
@@ -57,9 +41,9 @@ def _check_schedule(mode: str, c2_base: float) -> None:
         raise ValueError(f"c2_base must be finite and >= 0, got {c2_base}")
 
 
-def effective_entropy_coef(mode: str, window: ReturnWindow, c2_base: float) -> float:
-    """Entropy coefficient applied this update: c2_base, scaled by g_recent in adaptive mode."""
+def effective_entropy_coef(mode: str, g: float, c2_base: float) -> float:
+    """Entropy coefficient applied this update: c2_base, scaled by g (g_recent) if adaptive."""
     _check_schedule(mode, c2_base)
     if mode == "standard":
         return c2_base
-    return g_recent(window) * c2_base
+    return g * c2_base

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", dest="parallelism", type=int,
                          default=SweepSpec.parallelism, metavar="JOBS",
                          help="concurrent runs (default: %(default)s)")
-    p_sweep.add_argument("--out", dest="output_dir", type=Path, default=Path("runs/sweep"),
+    p_sweep.add_argument("--out", dest="output_dir", type=Path, default=SweepSpec.output_dir,
                          metavar="OUT", help="output directory for runs.csv, table.md and logs/")
     p_sweep.add_argument("--base-seed", type=int, default=SweepSpec.base_seed,
                          help="first seed of every cell (default: %(default)s)")

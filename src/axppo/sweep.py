@@ -42,7 +42,7 @@ class SweepSpec:
     base_seed: int = TrainConfig.seed
     include_standard: bool = True
     parallelism: int = 1
-    output_dir: str | Path = "sweep_out"
+    output_dir: str | Path = Path("runs/sweep")
     total_env_steps: int = TrainConfig.total_env_steps
     eval_episodes: int = TrainConfig.eval_episodes
 

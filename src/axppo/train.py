@@ -1,4 +1,4 @@
-"""One full training run: rollouts, return window, coefficient, PPO updates, logging.
+"""One full training run: rollouts, recent returns, coefficient, PPO updates, logging.
 
 A run is fully deterministic given its seed. run_rng derives each of the run's
 random streams from the seed: init (parameter initialization), env
@@ -15,8 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .adaptive import (ReturnWindow, _check_schedule, effective_entropy_coef, g_recent,
-                       push_batch_return)
+from .adaptive import _check_schedule, effective_entropy_coef, g_recent
 from .cartpole import MAX_EPISODE_STEPS, reset
 from .loss import EPOCHS, MINIBATCH_SIZE, LossBreakdown, TrainingDiverged, ppo_update
 from .net import (
@@ -79,7 +78,8 @@ class TrainConfig:
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if self.total_env_steps < self.horizon:
-            raise ValueError("total_env_steps must be at least one horizon")
+            raise ValueError(f"total_env_steps must be >= {self.horizon} (one horizon),"
+                             f" got {self.total_env_steps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eval_episodes < 1:
@@ -143,7 +143,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     params = init_params(net, run_rng(config.seed, "init"))
     adam_state = init_adam_state(net.param_count)
-    window = ReturnWindow(capacity=config.tau)
+    returns: list[float] = []  # batch mean return of every update so far
     cursor = (reset(env_rng), 0.0)
     mean_ret = 0.0
 
@@ -156,9 +156,10 @@ def train(config: TrainConfig) -> TrainResult:
             )
             # a rollout that finishes no episode carries the previous mean forward
             mean_ret = float(np.mean(completed)) if completed else mean_ret
-            window = push_batch_return(window, mean_ret)
-            g = g_recent(window)
-            c2_eff = effective_entropy_coef(config.mode, window, config.c2_base)
+            returns.append(mean_ret)
+            # the window: the last tau returns (all of them until there are tau); tau >= 1
+            g = g_recent(returns[-config.tau:])
+            c2_eff = effective_entropy_coef(config.mode, g, config.c2_base)
             advantages, value_targets = compute_gae(buffer, config.gamma, config.gae_lambda)
             params, adam_state, breakdown = ppo_update(
                 params, net, adam_state, buffer, advantages, value_targets, c2_eff,

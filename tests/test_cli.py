@@ -104,6 +104,9 @@ def test_usage_errors_exit_nonzero(argv, capsys):
         assert "seed must be >= 0, got -1" in err
     if argv[1:] in (["--tau", "0"], ["--taus", "0"]):  # one window rule, TrainConfig's
         assert err.endswith(f"axppo {argv[0]}: error: tau must be >= 1, got 0\n")
+    if argv[1:] == ["--total-steps", "100"]:
+        assert err.endswith(f"axppo {argv[0]}: error: total_env_steps must be >= 256"
+                            " (one horizon), got 100\n")
 
 
 def test_list_flags_name_the_kind_they_expect(capsys):

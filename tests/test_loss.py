@@ -284,6 +284,33 @@ def test_ppo_update_rejects_a_horizon_the_minibatch_size_does_not_divide():
         )
 
 
+def _loss_of(actions, **override):
+    outputs, inputs = _two_sample_inputs(**override)
+    return loss_output_gradients(outputs, actions, c2_effective=0.0, **inputs)
+
+
+def _ppo_update_with_short_advantages():
+    rng = np.random.default_rng(5)
+    cfg, params, buffer = _synthetic_buffer(rng, horizon=64)
+    return ppo_update(params, cfg, init_adam_state(cfg.param_count), buffer, np.zeros(63),
+                      np.zeros(64), 0.1, rng=np.random.default_rng(0))
+
+
+EMPTY_MINIBATCH = dict(logits=np.zeros((0, 2)), values=np.zeros(0), old_log_probs=np.zeros(0),
+                       advantages=np.zeros(0), value_targets=np.zeros(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _loss_of(np.array([0, 1]), values=np.zeros(3)), "minibatch arrays are not aligned"),
+    (lambda: _loss_of(np.zeros(0, dtype=int), **EMPTY_MINIBATCH),
+     "minibatch must hold at least one sample"),
+    (_ppo_update_with_short_advantages, "advantages/value_targets are not aligned with the buffer"),
+], ids=["loss_misaligned", "loss_empty", "ppo_update_misaligned"])
+def test_shape_checks_refuse_with_their_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_ppo_update_makes_one_loss_pass_per_minibatch(monkeypatch):
     # each public function of the minibatch step runs once per minibatch, looked up in
     # axppo.loss's globals: a faster step must not route around one of them

@@ -79,12 +79,15 @@ def test_adaptive_mode_logs_exact_product():
         assert 0.0 <= rec.c2_effective <= 0.5
 
 
-def test_g_recent_tracks_window_of_batch_returns():
-    cfg = TrainConfig(mode="adaptive", c2_base=0.1, tau=2, total_env_steps=1024)
+# 1024 steps are 4 updates: tau=1 tracks the latest return, tau=2 evicts the oldest,
+# and tau=5 never fills, so it reads the mean of every return so far
+@pytest.mark.parametrize("tau", [1, 2, 5])
+def test_g_recent_tracks_window_of_batch_returns(tau):
+    cfg = TrainConfig(mode="adaptive", c2_base=0.1, tau=tau, total_env_steps=1024)
     result = train(cfg)
     returns = [rec.batch_mean_return for rec in result.records]
     for t, rec in enumerate(result.records):
-        window = returns[max(0, t - 1) : t + 1]
+        window = returns[max(0, t + 1 - tau) : t + 1]
         assert rec.g_recent == pytest.approx(np.mean(window) / 500.0, abs=1e-12)
 
 
