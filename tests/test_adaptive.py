@@ -1,11 +1,49 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import axppo.rollout
 from axppo.adaptive import effective_entropy_coef, g_recent
-from axppo.train import TrainConfig
+from axppo.train import TrainConfig, train
 
 returns_lists = st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=0, max_size=30)
+
+
+def trained_g_recent(monkeypatch, tau, batch_returns):
+    """g_recent of each update of an adaptive run whose rollouts report batch_returns in turn."""
+    real_collect = axppo.rollout.collect_rollout
+    reported = iter(batch_returns)
+
+    def collect_rollout(*args, **kwargs):
+        buffer, _, cursor = real_collect(*args, **kwargs)
+        return buffer, (next(reported),), cursor
+
+    monkeypatch.setattr(importlib.import_module("axppo.train"), "collect_rollout", collect_rollout)
+    cfg = TrainConfig(mode="adaptive", tau=tau, total_env_steps=256 * len(batch_returns))
+    return [r.g_recent for r in train(cfg).records]
+
+
+def test_eviction_order(monkeypatch):
+    # the third return evicts the first: the window is (20, 30)
+    assert trained_g_recent(monkeypatch, 2, [10.0, 20.0, 30.0]) \
+        == pytest.approx([10.0 / 500.0, 15.0 / 500.0, 25.0 / 500.0], abs=1e-12)
+
+
+def test_capacity_one(monkeypatch):
+    assert trained_g_recent(monkeypatch, 1, [250.0, 100.0]) == pytest.approx([0.5, 0.2], abs=1e-12)
+
+
+def test_tau_one_tracks_latest(monkeypatch):
+    values = [50.0, 400.0, 123.0]
+    assert trained_g_recent(monkeypatch, 1, values) \
+        == pytest.approx([v / 500.0 for v in values], abs=1e-12)
+
+
+def test_constant_pushes_converge_after_tau(monkeypatch):
+    g = trained_g_recent(monkeypatch, 4, [10.0, 20.0, 30.0, 40.0] + [250.0] * 4)
+    assert g[-1] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_g_recent_rejects_out_of_range():
