@@ -254,10 +254,7 @@ def save_checkpoint(path: str | Path, config: NetworkConfig, params: np.ndarray)
     replaced atomically (_write_text_atomic).
     """
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (config.param_count,):
-        raise ValueError(
-            f"parameter vector has shape {params.shape}, expected ({config.param_count},)"
-        )
+    unpack_params(params, config)  # the shape rule
     header = json.dumps(
         {
             "obs_dim": config.obs_dim,

@@ -9,8 +9,8 @@ plan_runs is the one rule for which runs a grid holds; it lists them as
 TrainConfigs in grid order. A standard run keeps the default tau, which
 standard mode never reads, and reports none.
 
-Every run is fully isolated (own seeds, own log file), so runs may execute in
-worker processes; results always come back in grid order regardless of
+Every run is fully isolated (own seeds, own log file) and executes in a
+worker process; results always come back in grid order regardless of
 completion order, and per-cell seeds depend only on base_seed, so any cell can
 be re-run on its own. An output directory that already holds a sweep is
 refused, so two sweeps never mix in one runs.csv and logs/.
@@ -18,6 +18,8 @@ refused, so two sweeps never mix in one runs.csv and logs/.
 
 from __future__ import annotations
 
+import functools
+import signal
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -161,8 +163,8 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
     its eval return and wall time (or the type of its error), and an estimate
     of the time left (the median run time so far x runs left / workers, once
     a run has finished). A sweep that is stopped keeps the rows of its
-    finished runs. It starts min(parallelism, runs) workers; parallelism 1
-    runs every run in this process.
+    finished runs. Every run executes in one of min(parallelism, runs) worker
+    processes, and an exception in this process (Ctrl-C) starts no waiting run.
 
     A run that raises does not stop the others, and neither does a worker
     process that dies (see _run_in_pools). Once all have ended, the reports
@@ -183,30 +185,25 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
         raise FileExistsError(f"{out_dir} is not a directory, or lies under a file") from exc
 
     finished: dict[int, RunResult] = {}  # in the order the runs finished
-    failed: dict[int, Exception] = {}
+    failed: dict[int, BaseException] = {}
 
-    def land(i: int, run: Callable[[], RunResult]) -> None:
-        try:
-            r = finished[i] = run()
-        except Exception as exc:
-            failed[i] = exc
-            outcome = f"failed ({type(exc).__name__})"
-        else:
+    def land(i: int, outcome: RunResult | BaseException) -> None:
+        if isinstance(outcome, RunResult):
+            r = finished[i] = outcome
             _write_text_atomic(out_dir / "runs.csv", _render_csv(finished.values()))
-            outcome = f"eval return {r.final_mean_return:.1f}, {r.wall_time_s:.1f} s"
+            text = f"eval return {r.final_mean_return:.1f}, {r.wall_time_s:.1f} s"
+        else:
+            failed[i] = outcome
+            text = f"failed ({type(outcome).__name__})"
         ended = len(finished) + len(failed)
-        line = f"[{ended}/{len(plans)}] {_describe(plans[i])}: {outcome}"
+        line = f"[{ended}/{len(plans)}] {_describe(plans[i])}: {text}"
         times = sorted(f.wall_time_s for f in finished.values())  # np.median would load numpy.ma
         if times:
             median_s = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2
             line += f", ETA {median_s * (len(plans) - ended) / workers:.0f} s"
         print(line, file=sys.stderr)
 
-    if spec.parallelism == 1:
-        for i, config in enumerate(plans):
-            land(i, lambda: _execute_run(config, _log_path(out_dir, config)))
-    else:
-        _run_in_pools(plans, out_dir, workers, land)
+    _run_in_pools(plans, out_dir, workers, land)
     results = [finished[i] for i in sorted(finished)]
 
     for i in sorted(finished):
@@ -226,7 +223,7 @@ def run_sweep(spec: SweepSpec) -> list[RunResult]:
 
 
 def _run_in_pools(plans: list[TrainConfig], out_dir: Path, workers: int,
-                  land: Callable[[int, Callable[[], RunResult]], None]) -> None:
+                  land: Callable[[int, RunResult | BaseException], None]) -> None:
     """Run every plan in a pool of worker processes, landing each run as it returns.
 
     A worker process that dies breaks its pool, which then fails every run it
@@ -234,31 +231,35 @@ def _run_in_pools(plans: list[TrainConfig], out_dir: Path, workers: int,
     that pool breaks too, the runs it lost go one at a time through a pool of
     one worker, which runs them in order: the first run lost there broke it,
     after an earlier pool lost it too, and only that run lands as failed. The
-    rest go back to a shared pool.
+    rest go back to a shared pool. Workers die on SIGINT, as this process
+    stops on it, and an exception here cancels every run not yet started.
     """
-    # imported here: the pool pulls in multiprocessing, which serial runs never need
+    # imported here: the pool pulls in multiprocessing, which `import axppo` never needs
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    def broke_its_pool(i: int) -> RunResult:
-        raise BrokenProcessPool(f"the worker process running {_describe(plans[i])} ended abruptly")
-
+    die_on_sigint = functools.partial(signal.signal, signal.SIGINT, signal.SIG_DFL)
     pending, breaks = list(range(len(plans))), 0
     while pending:
         size = 1 if breaks >= 2 else min(workers, len(pending))
         lost = []
-        with ProcessPoolExecutor(max_workers=size) as pool:
+        with ProcessPoolExecutor(max_workers=size, initializer=die_on_sigint) as pool:
             futures = {pool.submit(_execute_run, plans[i], _log_path(out_dir, plans[i])): i
                        for i in pending}
-            for future in as_completed(futures):
-                if isinstance(future.exception(), BrokenProcessPool):
-                    lost.append(futures[future])
-                else:
-                    land(futures[future], future.result)
+            try:
+                for future in as_completed(futures):
+                    if isinstance(future.exception(), BrokenProcessPool):
+                        lost.append(futures[future])
+                    else:
+                        land(futures[future], future.exception() or future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # wait=False lets the with exit undo the cancel
+                raise
         pending = sorted(lost)
         if lost and size == 1 and breaks:
             culprit = pending.pop(0)
-            land(culprit, lambda: broke_its_pool(culprit))
+            land(culprit, BrokenProcessPool(
+                f"the worker process running {_describe(plans[culprit])} ended abruptly"))
             breaks = 0
         elif lost:
             breaks += 1

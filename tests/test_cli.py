@@ -254,8 +254,8 @@ def assert_refused_untouched(tmp_path, capsys, monkeypatch, command, out):
     cli = importlib.import_module("axppo.cli")
     trained = []
     monkeypatch.setattr(cli, "train", trained.append)
-    monkeypatch.setattr(importlib.import_module("axppo.sweep"), "_execute_run",
-                        lambda *args: trained.append(args))
+    monkeypatch.setattr(importlib.import_module("axppo.sweep"), "_run_in_pools",
+                        lambda *args: trained.append(args))  # where a sweep starts its runs
     assert main(command + ["--total-steps", "256", "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and str(out) in err[0]

@@ -2,11 +2,14 @@ import concurrent.futures
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -122,9 +125,10 @@ def _train_ending_the_adaptive_seed_2_process(config):
     return train(config)
 
 
-def test_a_dead_worker_fails_only_its_own_run(tmp_path, monkeypatch, capsys):
-    grid = dict(coefficient_grid=(0.0, 0.3), tau_grid=(10,), seeds_per_cell=3, parallelism=2,
-                **TINY)
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_dead_worker_fails_only_its_own_run(tmp_path, monkeypatch, capsys, parallelism):
+    grid = dict(coefficient_grid=(0.0, 0.3), tau_grid=(10,), seeds_per_cell=3,
+                parallelism=parallelism, **TINY)
     run_sweep(SweepSpec(output_dir=tmp_path / "clean", **grid))
     capsys.readouterr()
     monkeypatch.setattr(axppo.sweep, "train", _train_ending_the_adaptive_seed_2_process)
@@ -187,19 +191,25 @@ def test_a_diverged_run_is_reported_and_left_out_of_its_cell(tmp_path, monkeypat
     assert table == clean_table
 
 
+def interrupt_landing(monkeypatch, k):
+    """Raise KeyboardInterrupt in the sweep's own process as the (k + 1)-th run lands."""
+    render_csv, landed = axppo.sweep._render_csv, []
+
+    def interrupted_after_k(results):
+        landed.append(results)
+        if len(landed) == k + 1:
+            raise KeyboardInterrupt
+        return render_csv(results)
+
+    monkeypatch.setattr(axppo.sweep, "_render_csv", interrupted_after_k)
+
+
 def test_interrupted_sweep_keeps_the_rows_it_finished(tmp_path, monkeypatch):
     # runs.csv is rewritten as each run lands, so a stopped sweep keeps its finished rows
     spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
                      output_dir=tmp_path, **TINY)
-    k, started = 2, []
-
-    def interrupted_after_k(config, log_path):
-        started.append(config)
-        if len(started) == k + 1:
-            raise KeyboardInterrupt
-        return _execute_run(config, log_path)
-
-    monkeypatch.setattr(axppo.sweep, "_execute_run", interrupted_after_k)
+    k = 2
+    interrupt_landing(monkeypatch, k)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(spec)
     rows = list(csv.DictReader((tmp_path / "runs.csv").read_text().splitlines()))
@@ -208,14 +218,81 @@ def test_interrupted_sweep_keeps_the_rows_it_finished(tmp_path, monkeypatch):
     assert not (tmp_path / "table.md").exists()
 
 
+def test_an_interrupted_sweep_starts_no_waiting_run(tmp_path, monkeypatch):
+    # the pool cancels every run it has not handed to a worker: at most the landed run, one
+    # run per worker and the workers + 1 runs queued for them write a log
+    interrupt_landing(monkeypatch, 0)
+    workers = 2
+    spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(1, 2), seeds_per_cell=4,
+                     total_env_steps=2560, eval_episodes=2, parallelism=workers,
+                     output_dir=tmp_path)
+    assert len(plan_runs(spec)) == 16
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(spec)
+    assert len(list((tmp_path / "logs").iterdir())) <= 1 + 2 * workers + 1
+    assert multiprocessing.active_children() == []
+
+
+CTRL_C_SWEEP = """
+import signal, sys, time
+import axppo.sweep
+from axppo.cli import main
+
+signal.signal(signal.SIGINT, signal.default_int_handler)  # Python's default, even if inherited off
+execute_run = axppo.sweep._execute_run
+
+def later_seeds_run_long(config, log_path):  # forked workers find it in __main__
+    if config.seed > 1:
+        time.sleep(600)
+    return execute_run(config, log_path)
+
+axppo.sweep._execute_run = later_seeds_run_long
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_ctrl_c_stops_a_sweep_and_its_workers(tmp_path):
+    # a terminal's Ctrl-C sends SIGINT to the sweep and to every worker it forked; once the
+    # first run has landed, both workers are in runs that would take 600 s
+    out = tmp_path / "sweep"
+    src = str(Path(axppo.sweep.__file__).parents[1])
+    sweep = subprocess.Popen(
+        [sys.executable, "-c", CTRL_C_SWEEP, "sweep", "--coefs", "0,0.3", "--taus", "1,2",
+         "--seeds", "4", "--jobs", "2", "--total-steps", "256", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "runs.csv").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.killpg(sweep.pid, signal.SIGINT)
+        assert sweep.wait(timeout=30) != 0
+    finally:
+        if sweep.poll() is None:
+            os.killpg(sweep.pid, signal.SIGKILL)
+            sweep.wait()
+    rows = list(csv.DictReader((out / "runs.csv").read_text().splitlines()))
+    assert [(r["mode"], r["c2"], r["seed"]) for r in rows] == [("standard", "0.0", "1")]
+    assert [p.name for p in (out / "logs").iterdir()] == ["run_standard_0_na_1.csv"]
+
+
+def _timed_run(config, log_path):
+    """A run that takes no time and reports 2 or 4 s, twice that for adaptive (picklable)."""
+    wall = {0.0: 2.0, 0.3: 4.0}[config.c2_base] * (2 if config.mode == "adaptive" else 1)
+    return RunResult(config.mode, config.c2_base, None, config.seed, 100.0 + wall, wall,
+                     str(log_path))
+
+
+def _timed_run_failing_standard_0(config, log_path):
+    """_timed_run, except that the standard c2=0 run raises (picklable)."""
+    if config.mode == "standard" and config.c2_base == 0.0:
+        raise RuntimeError("worker failed")
+    return _timed_run(config, log_path)
+
+
 def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
     # one line per finished run; the ETA is the median run time so far x runs left
-    def timed_run(config, log_path):
-        wall = {0.0: 2.0, 0.3: 4.0}[config.c2_base] * (2 if config.mode == "adaptive" else 1)
-        return RunResult(config.mode, config.c2_base, None, config.seed, 100.0 + wall, wall,
-                         str(log_path))
-
-    monkeypatch.setattr(axppo.sweep, "_execute_run", timed_run)
+    monkeypatch.setattr(axppo.sweep, "_execute_run", _timed_run)
     spec = SweepSpec(coefficient_grid=(0.0, 0.3), tau_grid=(2,), seeds_per_cell=1,
                      output_dir=tmp_path, **TINY)
     run_sweep(spec)
@@ -226,12 +303,7 @@ def test_sweep_reports_progress_on_stderr(tmp_path, monkeypatch, capsys):
     ]
 
     # a failed run counts as ended; its line has no ETA while no run has finished
-    def failing_standard_0(config, log_path):
-        if config.mode == "standard" and config.c2_base == 0.0:
-            raise RuntimeError("worker failed")
-        return timed_run(config, log_path)
-
-    monkeypatch.setattr(axppo.sweep, "_execute_run", failing_standard_0)
+    monkeypatch.setattr(axppo.sweep, "_execute_run", _timed_run_failing_standard_0)
     with pytest.raises(RuntimeError, match="worker failed"):
         run_sweep(dataclasses.replace(spec, output_dir=tmp_path / "failing"))
     assert capsys.readouterr().err.splitlines() == [
@@ -252,7 +324,7 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch, capsys,
     started = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):  # the workers' initializer is for processes
             started.append(max_workers)
             super().__init__(max_workers)
 
@@ -414,7 +486,7 @@ def test_render_csv_keeps_full_coefficient_precision():
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only run_sweep with parallelism > 1 needs concurrent.futures.process (and multiprocessing);
+    # only run_sweep needs concurrent.futures.process (and multiprocessing);
     # a plain import loads neither the sweep layer nor the CLI, and the sweep names load
     # axppo.sweep on first use without rebinding axppo.train or being stored in the package
     code = textwrap.dedent("""
